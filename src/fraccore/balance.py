@@ -113,24 +113,24 @@ def balanced_subsets(fs: FirmSystem, mode: str = "cone", cap: int = DEFAULT_FIRM
 
     Balancedness is upward closed in both modes (extra firms may carry zero
     weight in cone mode and dilute nothing in convex mode), so supersets of a
-    found subset skip their LP.
+    found subset skip their LP.  Subsets come in order of size, so a subset
+    contains a found one exactly when dropping one of its members leaves a
+    found subset.
     """
     check = _mode_fn(mode)
     if fs.count > cap:
         raise CapExceeded(f"{fs.count} firms exceeds the enumeration cap {cap}")
     found = []
-    found_sets = []
+    found_set = set()
     indices = range(fs.count)
     for size in range(1, fs.count + 1):
         for subset in combinations(indices, size):
-            sset = frozenset(subset)
-            if any(prev <= sset for prev in found_sets):
+            if (
+                any(subset[:k] + subset[k + 1 :] in found_set for k in range(size))
+                or check(subset, fs) is not None
+            ):
                 found.append(subset)
-                found_sets.append(sset)
-                continue
-            if check(subset, fs) is not None:
-                found.append(subset)
-                found_sets.append(sset)
+                found_set.add(subset)
     return found
 
 

@@ -1,10 +1,18 @@
 """Exact rational linear feasibility and optimization.
 
-Two-phase primal simplex over exact rationals with Bland's rule (lowest
-eligible index for both entering and leaving variables), which guarantees
-termination.  Variables are free; internally they are split into positive
-and negative parts.  Strict inequalities are reduced to maximizing a uniform
-slack variable capped at 1, so no epsilon heuristics appear anywhere.
+Two-phase primal simplex with Bland's rule (lowest eligible index for both
+entering and leaving variables), which guarantees termination.  Variables
+are free; internally they are split into positive and negative parts.
+Strict inequalities are reduced to maximizing a uniform slack variable
+capped at 1, so no epsilon heuristics appear anywhere.
+
+The tableau is fraction-free: the standard form is scaled once to integers
+(rows by the lcm of their denominators, the objective by its own), and
+pivots use Bareiss's integer-preserving update, so every entry is an
+integer over one shared denominator, the basis determinant.  Positive
+scaling changes no sign and no ratio, so the pivots are those of the same
+simplex over rationals.  Rationals appear only when reading the input and
+when building the returned value, witness and ray.
 
 All functions are pure and safe to call concurrently.
 """
@@ -12,6 +20,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import MalformedSystem
 from .rationals import ONE, ZERO, Q, rat, vec
@@ -70,102 +79,124 @@ class Unbounded:
 
 
 # ---------------------------------------------------------------------------
-# simplex core: max c.y  s.t.  A y = b, y >= 0
+# simplex core: max c.y  s.t.  A y = b, y >= 0, over integers
+#
+# The tableau holds integers T standing for T / det, where det > 0 is the
+# absolute value of the current basis determinant; by Sylvester's identity
+# every division in a Bareiss pivot is exact.
 # ---------------------------------------------------------------------------
 
 
-def _pivot(rows, obj, basis, r, col):
+def _eliminate(row, prow, support, p, col, det):
+    """Row ``row`` after a Bareiss pivot on ``prow[col] == p``.
+
+    Off the pivot row's ``support`` (its nonzero columns) an entry x only
+    rescales to x * p / det."""
+    f = row[col]
+    new = row[:] if p == det else [x * p // det if x else 0 for x in row]
+    if f:
+        for j in support:
+            new[j] = (row[j] * p - f * prow[j]) // det
+    return new
+
+
+def _pivot(rows, obj, basis, r, col, det):
+    """Pivot on rows[r][col]; returns the new common denominator."""
     prow = rows[r]
-    inv = ONE / prow[col]
-    if inv != ONE:
-        rows[r] = prow = [x * inv for x in prow]
+    p = prow[col]
+    support = [j for j, y in enumerate(prow) if y]
+    rescale = p != det
     for i, row in enumerate(rows):
-        if i != r and row[col] != ZERO:
-            f = row[col]
-            rows[i] = [x - f * p for x, p in zip(row, prow)]
-    f = obj[col]
-    if f != ZERO:
-        obj[:] = [x - f * p for x, p in zip(obj, prow)]
+        if i != r and (rescale or row[col]):
+            rows[i] = _eliminate(row, prow, support, p, col, det)
+    if rescale or obj[col]:
+        obj[:] = _eliminate(obj, prow, support, p, col, det)
     basis[r] = col
+    if p < 0:  # only when driving out an artificial; keep det positive
+        rows[:] = [[-x for x in row] for row in rows]
+        obj[:] = [-x for x in obj]
+        p = -p
+    return p
 
 
-def _bland_loop(rows, obj, basis, ncols):
-    """Run primal simplex to optimality.  Returns None, or the entering
-    column index if the problem is unbounded in that direction."""
+def _bland_loop(rows, obj, basis, ncols, det):
+    """Run primal simplex to optimality.  Returns (None, det), or the
+    entering column index and det if the problem is unbounded in that
+    direction."""
     while True:
-        col = next((j for j in range(ncols) if obj[j] < ZERO), None)
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return None
-        best = None  # (ratio, basis var, row index)
+            return None, det
+        best = None  # row of least (ratio, basis var); det cancels
         for i, row in enumerate(rows):
-            if row[col] > ZERO:
-                ratio = row[-1] / row[col]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
+            a = row[col]
+            if a > 0:
+                if best is None:
+                    best, ba, brhs = i, a, row[-1]
+                    continue
+                lhs, rhs = row[-1] * ba, brhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, ba, brhs = i, a, row[-1]
         if best is None:
-            return col
-        _pivot(rows, obj, basis, best[1], col)
+            return col, det
+        det = _pivot(rows, obj, basis, best, col, det)
 
 
-def _objective_row(rows, basis, c, ncols):
-    obj = [-cj for cj in c] + [ZERO]
+def _objective_row(rows, basis, c, det):
+    obj = [-cj * det for cj in c] + [0]
     for i, bi in enumerate(basis):
         cb = c[bi]
-        if cb != ZERO:
+        if cb:
             obj = [x + cb * y for x, y in zip(obj, rows[i])]
     return obj
 
 
 def _solve_standard(a_rows, b, c):
-    """max c.y s.t. a_rows y = b, y >= 0.
+    """max c.y s.t. a_rows y = b, y >= 0, all data integers.
 
-    Returns ("infeasible",) | ("optimal", value, y) | ("unbounded", y, ray).
+    Returns ("infeasible",) | ("optimal", value, y, det) |
+    ("unbounded", y, ray, det), every number an integer over det.
     """
     m = len(a_rows)
     n = len(c)
     rows = []
-    for arow, bi in zip(a_rows, b):
-        if bi < ZERO:
-            rows.append([-x for x in arow] + [-bi])
-        else:
-            rows.append(list(arow) + [bi])
     # phase 1: one artificial per row, minimize their sum
-    for i, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend(ONE if j == i else ZERO for j in range(m))
-        row.append(rhs)
+    for i, (arow, bi) in enumerate(zip(a_rows, b)):
+        art = [0] * m
+        art[i] = 1
+        if bi < 0:
+            rows.append([-x for x in arow] + art + [-bi])
+        else:
+            rows.append(arow + art + [bi])
     basis = list(range(n, n + m))
-    c1 = [ZERO] * n + [-ONE] * m
-    obj = _objective_row(rows, basis, c1, n + m)
-    _bland_loop(rows, obj, basis, n + m)  # bounded: objective <= 0
-    if obj[-1] < ZERO:
+    obj = _objective_row(rows, basis, [0] * n + [-1] * m, 1)
+    _, det = _bland_loop(rows, obj, basis, n + m, 1)  # bounded: objective <= 0
+    if obj[-1] < 0:
         return ("infeasible",)
     # drive leftover artificials out of the basis; drop redundant rows
     keep = []
     for i in range(len(rows)):
         if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j] != ZERO), None)
+            col = next((j for j in range(n) if rows[i][j]), None)
             if col is None:
                 continue  # redundant constraint
-            _pivot(rows, obj, basis, i, col)
+            det = _pivot(rows, obj, basis, i, col, det)
         keep.append(i)
-    rows = [rows[i] for i in keep]
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    rows = [row[:n] + [row[-1]] for row in rows]
     # phase 2
-    obj = _objective_row(rows, basis, list(c), n)
-    entering = _bland_loop(rows, obj, basis, n)
-    y = [ZERO] * n
+    obj = _objective_row(rows, basis, c, det)
+    entering, det = _bland_loop(rows, obj, basis, n, det)
+    y = [0] * n
     for i, bi in enumerate(basis):
         y[bi] = rows[i][-1]
     if entering is not None:
-        ray = [ZERO] * n
-        ray[entering] = ONE
+        ray = [0] * n
+        ray[entering] = det
         for i, bi in enumerate(basis):
             ray[bi] = -rows[i][entering]
-        return ("unbounded", y, ray)
-    return ("optimal", obj[-1], y)
+        return ("unbounded", y, ray, det)
+    return ("optimal", obj[-1], y, det)
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +204,40 @@ def _solve_standard(a_rows, b, c):
 # ---------------------------------------------------------------------------
 
 
-def _standard_form(objective, equalities, leqs, n):
-    """Split x into u - w and add one slack per inequality."""
+def _clear_denominators(values):
+    """Integers and the positive scale (lcm of the denominators) such that
+    values[i] == integers[i] / scale."""
+    scale = lcm(*(x.denominator for x in values))
+    if scale == 1:
+        return [int(x.numerator) for x in values], 1
+    return [int(x.numerator) * (scale // int(x.denominator)) for x in values], scale
+
+
+def _standard_form(objective, equalities, leqs):
+    """Split x into u - w, add one slack per inequality and clear
+    denominators: all rows by one common scale, the objective by its own.
+    Returns integer rows, right-hand sides, objective and the objective's
+    scale."""
+    rows = equalities + leqs
+    width = len(objective) + 1
+    flat, scale = _clear_denominators([x for a, rhs in rows for x in (*a, rhs)])
+    neq = len(equalities)
     nslack = len(leqs)
     a_rows = []
     b = []
-    for a, rhs in equalities:
-        a_rows.append(list(a) + [-x for x in a] + [ZERO] * nslack)
-        b.append(rhs)
-    for k, (a, rhs) in enumerate(leqs):
-        srow = [ZERO] * nslack
-        srow[k] = ONE
-        a_rows.append(list(a) + [-x for x in a] + srow)
-        b.append(rhs)
-    c = list(objective) + [-x for x in objective] + [ZERO] * nslack
-    return a_rows, b, c
+    for k in range(len(rows)):
+        ints = flat[k * width : (k + 1) * width]
+        b.append(ints.pop())
+        srow = [0] * nslack
+        if k >= neq:
+            srow[k - neq] = scale
+        a_rows.append(ints + [-x for x in ints] + srow)
+    c, cscale = _clear_denominators(objective)
+    return a_rows, b, c + [-x for x in c] + [0] * nslack, cscale
 
 
-def _recover(y, n):
-    return tuple(y[j] - y[n + j] for j in range(n))
+def _recover(y, det, n):
+    return tuple(Q(y[j] - y[n + j], det) for j in range(n))
 
 
 def maximize(objective, sys: LinearSystem):
@@ -206,13 +252,16 @@ def maximize(objective, sys: LinearSystem):
             b == ZERO for _, b in sys.equalities
         )
         return Optimal(ZERO, ()) if ok else Infeasible()
-    a_rows, b, c = _standard_form(objective, sys.equalities, sys.leq, sys.num_vars)
+    a_rows, b, c, cscale = _standard_form(objective, sys.equalities, sys.leq)
     res = _solve_standard(a_rows, b, c)
+    n = sys.num_vars
     if res[0] == "infeasible":
         return Infeasible()
     if res[0] == "unbounded":
-        return Unbounded(_recover(res[1], sys.num_vars), _recover(res[2], sys.num_vars))
-    return Optimal(res[1], _recover(res[2], sys.num_vars))
+        _, y, ray, det = res
+        return Unbounded(_recover(y, det, n), _recover(ray, det, n))
+    _, value, y, det = res
+    return Optimal(Q(value, det * cscale), _recover(y, det, n))
 
 
 def solve_feasibility(sys: LinearSystem):

@@ -19,6 +19,8 @@ ONE = Q(1)
 
 def rat(value) -> "Q":
     """Coerce an int, string ("p/q" or "p"), Fraction or Q to an exact rational."""
+    if type(value) is Q:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass an int, string or rational")
     if isinstance(value, str):

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_simplex import reference_maximize, reference_solve_feasibility
 
+from fraccore import exact_linear
 from fraccore.errors import MalformedSystem
 from fraccore.exact_linear import (
     Feasible,
@@ -191,3 +193,122 @@ def test_against_scipy():
         )
         assert ref.status == 0
         assert abs(float(res.value) + ref.fun) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the rational reference tableau
+# ---------------------------------------------------------------------------
+
+
+def _scalars(res):
+    if isinstance(res, Optimal):
+        return (res.value, *res.witness)
+    if isinstance(res, Unbounded):
+        return (*res.witness, *res.ray)
+    if isinstance(res, Feasible):
+        return res.witness
+    return ()
+
+
+def _assert_same(res, ref):
+    assert type(res) is type(ref)
+    assert res == ref
+    assert all(type(x) is Q for x in _scalars(res))
+
+
+# small integers and zero right-hand sides make degenerate vertices, where
+# the tie-breaks of Bland's rule decide which vertex is returned
+coefficients = st.one_of(st.integers(min_value=-2, max_value=2).map(rat), rationals)
+right_hand_sides = st.one_of(st.just(rat(0)), coefficients)
+
+
+@st.composite
+def random_systems(draw):
+    """Systems with non-integer coefficients, right-hand sides of either
+    sign, possibly duplicated equality rows and strict rows, plus an
+    objective (often unbounded: nothing bounds the variables)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    row = st.tuples(
+        st.lists(coefficients, min_size=n, max_size=n).map(tuple), right_hand_sides
+    )
+    eqs = draw(st.lists(row, max_size=3))
+    if eqs and draw(st.booleans()):
+        eqs.append(draw(st.sampled_from(eqs)))
+    leq = draw(st.lists(row, max_size=5))
+    lt = draw(st.lists(row, max_size=2))
+    objective = draw(st.lists(coefficients, min_size=n, max_size=n))
+    return objective, n, tuple(eqs), tuple(leq), tuple(lt)
+
+
+@given(random_systems())
+@settings(max_examples=300, deadline=None)
+def test_maximize_matches_reference(data):
+    objective, n, eqs, leq, _ = data
+    sys = LinearSystem(n, equalities=eqs, leq=leq)
+    _assert_same(maximize(objective, sys), reference_maximize(objective, sys))
+
+
+@given(random_systems())
+@settings(max_examples=300, deadline=None)
+def test_feasibility_matches_reference(data):
+    _, n, eqs, leq, lt = data
+    sys = LinearSystem(n, equalities=eqs, leq=leq, lt=lt)
+    _assert_same(solve_feasibility(sys), reference_solve_feasibility(sys))
+
+
+def _record(monkeypatch, name, log, entry):
+    inner = getattr(exact_linear, name)
+
+    def spy(*args):
+        log.append(entry(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(exact_linear, name, spy)
+
+
+def test_drive_out_on_negative_entry(monkeypatch):
+    # Phase 1 leaves an artificial basic at level zero whose first nonzero
+    # entry is negative; the tableau is negated so det stays positive.
+    # Without that, the phase-2 signs flip and the LP reads as unbounded.
+    pivots = []
+    _record(monkeypatch, "_pivot", pivots, lambda rows, obj, basis, r, col, det: rows[r][col])
+    sys = LinearSystem(
+        3,
+        equalities=[((-1, -1, -1), 2), ((-1, 1, 1), 3)],
+        leq=[((2, 0, -2), 2), ((1, 1, 1), -2)],
+    )
+    res = maximize((-2, 2, -2), sys)
+    assert min(pivots) < 0
+    assert res == Optimal(Q(20), (Q(-5, 2), Q(4), Q(-7, 2)))
+    assert res == reference_maximize((-2, 2, -2), sys)
+
+
+def test_redundant_equality_dropped(monkeypatch):
+    # The second equality is three times the first: its artificial stays
+    # basic with an all-zero row, and phase 2 runs without that row.
+    tableaux = []
+    _record(monkeypatch, "_bland_loop", tableaux, lambda rows, *rest: len(rows))
+    sys = LinearSystem(
+        2,
+        equalities=[(("1/2", "1/3"), 1), (("3/2", 1), 3)],
+        leq=[((-1, 0), 0), ((0, -1), 0)],
+    )
+    res = maximize((1, 0), sys)
+    assert tableaux == [4, 3]
+    assert res == Optimal(Q(2), (Q(2), Q(0)))
+    assert res == reference_maximize((1, 0), sys)
+
+
+def test_results_are_rationals():
+    # integral and zero results still come back as Q, never as bare int
+    box = LinearSystem(2, leq=[((1, 0), 3), ((0, 1), 0), ((-1, 0), 0), ((0, -1), 0)])
+    opt = maximize((1, 1), box)
+    assert opt == Optimal(Q(3), (Q(3), Q(0)))
+    feas = solve_feasibility(box)
+    assert feas == Feasible((Q(0), Q(0)))
+    strict = solve_feasibility(LinearSystem(1, leq=[((-1,), 0)], lt=[((1,), 2)]))
+    assert strict == Feasible((Q(1),))
+    ray = maximize((1, 0), LinearSystem(2, equalities=[((0, 1), 1)]))
+    assert ray == Unbounded((Q(0), Q(1)), (Q(1), Q(0)))
+    for res in (opt, feas, strict, ray):
+        assert all(type(x) is Q for x in _scalars(res))
