@@ -5,11 +5,17 @@ exactly to the resource vector ("cone" mode); the convex variant also
 requires the weights to sum to one.  Families of coalitions with weighted
 characteristic vectors summing to the all-ones vector are the classical
 special case.
+
+Balancedness is upward closed and depends only on the firm system, so each
+(firm system, mode) pair gets one memoized test, kept in a bounded
+process-wide cache keyed by the firm system's value; its minimal balanced
+subsets decide every member set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapExceeded, CountMismatch, IndexOutOfRange
@@ -108,30 +114,103 @@ def _mode_fn(mode: str):
     raise ValueError(f"unknown mode {mode!r} (use 'cone' or 'convex')")
 
 
+def _mask(subset) -> int:
+    return sum(1 << i for i in subset)
+
+
+def _contains_any(mask: int, masks) -> bool:
+    return any(mask & m == m for m in masks)
+
+
+class BalanceTest:
+    """Memoized yes/no balancedness of member sets of one firm system.
+
+    The answer depends only on the firm system and the mode, so it is kept
+    per member set.  Once the minimal balanced subsets are known, a member
+    set is balanced exactly when it contains one of them, and no further LP
+    runs.  Concurrent callers may compute an answer twice; they store the
+    same value.
+    """
+
+    def __init__(self, fs: FirmSystem, mode: str):
+        _mode_fn(mode)  # rejects an unknown mode before it is cached
+        self.fs = fs
+        self.mode = mode
+        self._known = {}
+        self._minimal = None
+        self._masks = None
+
+    def __call__(self, subset) -> bool:
+        members = tuple(sorted(set(subset)))
+        known = self._known.get(members)
+        if known is None:
+            if self._masks is None:
+                known = _mode_fn(self.mode)(members, self.fs) is not None
+            else:
+                known = _contains_any(_mask(_check_members(members, self.fs)), self._masks)
+            self._known[members] = known
+        return known
+
+    def minimal(self) -> tuple:
+        """The minimal balanced subsets, in (size, lex) order.
+
+        By Caratheodory a minimal cone-balanced set has at most dim members
+        and a minimal convex-balanced set at most dim + 1, so only candidates
+        up to that size are tested; a candidate containing a found subset is
+        balanced but not minimal and skips its LP.
+        """
+        if self._minimal is None:
+            fs = self.fs
+            top = fs.dim + 1 if self.mode == "convex" else max(fs.dim, 1)
+            found, masks = [], []
+            for size in range(1, min(top, fs.count) + 1):
+                for subset in combinations(range(fs.count), size):
+                    mask = _mask(subset)
+                    if not _contains_any(mask, masks) and self(subset):
+                        found.append(subset)
+                        masks.append(mask)
+            self._masks = masks
+            self._minimal = tuple(found)
+        return self._minimal
+
+
+# firm systems (per mode) whose tests stay cached, least recently used out
+TEST_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TEST_CACHE_SIZE)
+def _cached_test(fs: FirmSystem, mode: str) -> BalanceTest:
+    return BalanceTest(fs, mode)
+
+
+def balance_test(fs: FirmSystem, mode: str = "cone") -> BalanceTest:
+    """The process-wide memoized test of (fs, mode), keyed by fs's value."""
+    return _cached_test(fs, mode)
+
+
+def minimal_balanced_subsets(
+    fs: FirmSystem, mode: str = "cone", cap: int = DEFAULT_FIRM_CAP
+) -> tuple:
+    """Minimal balanced subsets of firm indices, in (size, lex) order."""
+    if fs.count > cap:
+        raise CapExceeded(f"{fs.count} firms exceeds the enumeration cap {cap}")
+    return balance_test(fs, mode).minimal()
+
+
 def balanced_subsets(fs: FirmSystem, mode: str = "cone", cap: int = DEFAULT_FIRM_CAP):
     """All balanced subsets of firm indices, canonically sorted.
 
     Balancedness is upward closed in both modes (extra firms may carry zero
-    weight in cone mode and dilute nothing in convex mode), so supersets of a
-    found subset skip their LP.  Subsets come in order of size, so a subset
-    contains a found one exactly when dropping one of its members leaves a
-    found subset.
+    weight in cone mode and dilute nothing in convex mode), so these are
+    the subsets containing a minimal balanced subset.
     """
-    check = _mode_fn(mode)
-    if fs.count > cap:
-        raise CapExceeded(f"{fs.count} firms exceeds the enumeration cap {cap}")
-    found = []
-    found_set = set()
-    indices = range(fs.count)
-    for size in range(1, fs.count + 1):
-        for subset in combinations(indices, size):
-            if (
-                any(subset[:k] + subset[k + 1 :] in found_set for k in range(size))
-                or check(subset, fs) is not None
-            ):
-                found.append(subset)
-                found_set.add(subset)
-    return found
+    masks = [_mask(s) for s in minimal_balanced_subsets(fs, mode, cap)]
+    return [
+        subset
+        for size in range(1, fs.count + 1)
+        for subset in combinations(range(fs.count), size)
+        if _contains_any(_mask(subset), masks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -147,14 +226,23 @@ class Differs:
 def same_balanced_subsets(
     fs1: FirmSystem, fs2: FirmSystem, mode: str = "cone", cap: int = DEFAULT_FIRM_CAP
 ):
-    """Index-wise comparison of the two balanced-set families."""
+    """Index-wise comparison of the two balanced-set families.
+
+    Two upward-closed families are equal exactly when their antichains of
+    minimal members are, so the antichains are compared.  The witness is
+    still the first subset in (size, lex) order that lies in one family and
+    not the other: that subset is minimal in its family (a smaller minimal
+    subset inside it would differ earlier), and every difference of the
+    antichains is, or contains, a difference of the families, so none comes
+    earlier.
+    """
     if fs1.count != fs2.count:
         raise CountMismatch("firm systems of different sizes")
-    b1 = set(balanced_subsets(fs1, mode, cap))
-    b2 = set(balanced_subsets(fs2, mode, cap))
-    if b1 == b2:
+    a1 = set(minimal_balanced_subsets(fs1, mode, cap))
+    a2 = set(minimal_balanced_subsets(fs2, mode, cap))
+    if a1 == a2:
         return Equivalent()
-    witness = min(b1.symmetric_difference(b2), key=lambda s: (len(s), s))
+    witness = min(a1.symmetric_difference(a2), key=lambda s: (len(s), s))
     return Differs(witness)
 
 

@@ -69,6 +69,21 @@ def _vector_arg(text, what="point"):
         raise MalformedInput(f"$.{what}: invalid JSON: {exc}") from exc
 
 
+def _subset_arg(text, fs: FirmSystem) -> tuple:
+    try:
+        subset = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"$.subset: invalid JSON: {exc}") from exc
+    if not isinstance(subset, list) or not subset:
+        raise MalformedInput("$.subset: expected a nonempty list of firm indices")
+    for i, idx in enumerate(subset):
+        if type(idx) is not int or not 0 <= idx < fs.count:
+            raise MalformedInput(
+                f"$.subset[{i}]: not a firm index in 0..{fs.count - 1}: {idx!r}"
+            )
+    return tuple(subset)
+
+
 def _witness_json(w: frac_core.FractionalCoreWitness, game=None) -> dict:
     out = {
         "point": rational_vector_json(w.point),
@@ -130,7 +145,7 @@ def _cmd_balance(args):
         return "computed", {"balanced_subsets": [list(s) for s in subsets]}
     if args.action == "check":
         _require(args, "subset")
-        subset = tuple(json.loads(args.subset))
+        subset = _subset_arg(args.subset, fs)
         fn = (
             balance.balancing_weights
             if args.mode == "cone"
@@ -223,7 +238,7 @@ def _cmd_frac_core(args):
 
 def _cmd_core(args):
     game = game_from_json(_load_json(args.input))
-    res = frac_core.core_solve(game, subset_cap=args.firm_cap, node_cap=args.node_cap)
+    res = frac_core.core_solve(game, node_cap=args.node_cap)
     if isinstance(res, frac_core.CorePoint):
         return "nonempty", {"core_point": rational_vector_json(res.point)}
     return "empty", {}
@@ -474,12 +489,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--firm-cap", type=int, default=20)
     sp.add_argument("--node-cap", type=int, default=1_000_000)
 
-    for name, fn in (("core", _cmd_core), ("game-balanced", _cmd_game_balanced)):
-        sp = add(name, fn)
-        sp.add_argument("input")
-        sp.add_argument("--firm-cap", type=int, default=20)
-        if name == "core":
-            sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp = add("core", _cmd_core)
+    sp.add_argument("input")
+    sp.add_argument("--node-cap", type=int, default=1_000_000)
+
+    sp = add("game-balanced", _cmd_game_balanced)
+    sp.add_argument("input")
+    sp.add_argument("--firm-cap", type=int, default=20)
 
     sp = add("embed", _cmd_embed)
     sp.add_argument("input")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .balance import balanced_subsets, balancing_weights
+from .balance import balance_test, balancing_weights, minimal_balanced_subsets
 from .errors import CapExceeded, OverlapAmbiguity
 from .exact_linear import (
     Feasible,
@@ -177,8 +177,7 @@ def verify_fractional_core_point(game: GeneralizedGame, x, active=None):
         )
         if not members:
             return False, "point is in no utility set"
-    weights = balancing_weights(members, game.firm_system)
-    if weights is None:
+    if not balance_test(game.firm_system, "cone")(members):
         return False, f"member set {members} is not balanced"
     return True, "admissible and unblocked"
 
@@ -272,15 +271,18 @@ def fractional_core_solve(
 ):
     """Decide fractional-core nonemptiness exactly.
 
-    Iterates balanced firm subsets smallest-support first; for each,
-    searches the certificate polyhedra (membership in one primitive per
-    active firm, escape from every primitive's interior).
+    Iterates the minimal balanced firm subsets in (size, lex) order; for
+    each, searches the certificate polyhedra (membership in one primitive
+    per active firm, escape from every primitive's interior).  That is
+    enough: a point admissible for a balanced subset is admissible for
+    every minimal balanced subset inside it, which comes earlier in that
+    order, so the first subset with a point is always minimal.
     """
     n = game.dim
     budget = _Budget(node_cap)
     all_prims = [p for u in game.utilities for p in u.primitives]
     escapes = [_escape_options(q) for q in all_prims]
-    for subset in balanced_subsets(game.firm_system, "cone", subset_cap):
+    for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
 
         def accept(point, _subset=subset):
             x = vec(point)
@@ -299,11 +301,7 @@ def fractional_core_solve(
     return Empty()
 
 
-def core_solve(
-    game: GeneralizedGame,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-):
+def core_solve(game: GeneralizedGame, node_cap: int = DEFAULT_NODE_CAP):
     """Decide core nonemptiness: a point of the distinguished firm's set
     escaping every other firm's interior."""
     if game.distinguished is None:
@@ -342,7 +340,14 @@ def is_balanced_game(
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ):
     """Check that every balanced intersection sits inside the distinguished
-    firm's set (which must be a single primitive)."""
+    firm's set (which must be a single primitive).
+
+    Only minimal balanced subsets are checked, in (size, lex) order: a
+    balanced subset's intersection lies inside that of each minimal
+    balanced subset it contains, which comes earlier and contains the
+    distinguished firm only if the larger one does, so the first violation
+    is always found at a minimal subset.
+    """
     if game.distinguished is None:
         raise ValueError("is_balanced_game needs a distinguished firm")
     dist = game.distinguished
@@ -351,7 +356,7 @@ def is_balanced_game(
         return Unsupported("distinguished utility set must be a single primitive")
     target_rows = target.primitives[0].halfspaces
     n = game.dim
-    for subset in balanced_subsets(game.firm_system, "cone", subset_cap):
+    for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
         if dist in subset:
             continue  # the intersection then lies inside the target trivially
         prim_lists = [game.utilities[i].primitives for i in subset]

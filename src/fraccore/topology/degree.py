@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..balance import balancing_weights, convex_balancing_weights
+from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from ..game_model import FirmSystem, GeneralizedGame, cover_labels
 from ..linalg import det, gaussian_solve, rank, solve_square
@@ -110,9 +110,9 @@ def pl_degree(lc: LabeledCover, choice_rule=lowest_label):
     k = K.dim
     coords = _affine_coordinates(lc.firm_system, k)
     chosen = [choice_rule(ls) for ls in lc.labels]
+    balanced = balance_test(lc.firm_system, "convex")
     for facet in K.facets:
-        label_set = sorted({chosen[u] for u in facet})
-        if convex_balancing_weights(label_set, lc.firm_system) is not None:
+        if balanced({chosen[u] for u in facet}):
             return BalancedSimplexFound(facet)
     # orientation convention: the sphere around the resource is oriented so
     # that the identity labeling of the standard simplex boundary has degree
@@ -143,15 +143,12 @@ def pl_degree(lc: LabeledCover, choice_rule=lowest_label):
 
 def rainbow_simplices(lc: LabeledCover, mode: str = "cone"):
     """Facets whose vertex-label union contains a balanced firm subset."""
-    check = balancing_weights if mode == "cone" else convex_balancing_weights
-    if mode not in ("cone", "convex"):
-        raise ValueError("mode must be 'cone' or 'convex'")
-    out = []
-    for facet in lc.oriented.complex.facets:
-        union = sorted(set().union(*(lc.labels[u] for u in facet)))
-        if check(union, lc.firm_system) is not None:
-            out.append(facet)
-    return out
+    balanced = balance_test(lc.firm_system, mode)
+    return [
+        facet
+        for facet in lc.oriented.complex.facets
+        if balanced(frozenset().union(*(lc.labels[u] for u in facet)))
+    ]
 
 
 def subdivide_cover(lc: LabeledCover) -> LabeledCover:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..balance import convex_balancing_weights
+from ..balance import balance_test
 from ..errors import BoundaryTouchesBalanced, NotIsolated
 from .complexes import (
     OrientedComplex,
@@ -24,12 +24,12 @@ from .degree import BalancedSimplexFound, Degree, LabeledCover, pl_degree
 
 
 def balanced_facet_indices(lc: LabeledCover):
-    out = []
-    for idx, facet in enumerate(lc.oriented.complex.facets):
-        union = sorted(set().union(*(lc.labels[u] for u in facet)))
-        if convex_balancing_weights(union, lc.firm_system) is not None:
-            out.append(idx)
-    return out
+    balanced = balance_test(lc.firm_system, "convex")
+    return [
+        idx
+        for idx, facet in enumerate(lc.oriented.complex.facets)
+        if balanced(frozenset().union(*(lc.labels[u] for u in facet)))
+    ]
 
 
 def balanced_components(lc: LabeledCover):

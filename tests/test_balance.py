@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,14 @@ from fraccore.balance import (
     Differs,
     Equivalent,
     NotConvexifiable,
+    balance_test,
     balanced_subsets,
     balancing_weights,
     checked_family,
     convex_balancing_weights,
     convexify,
     minimal_balanced_families,
+    minimal_balanced_subsets,
     same_balanced_subsets,
 )
 from fraccore.errors import CapExceeded, IndexOutOfRange
@@ -229,3 +233,126 @@ def test_cone_monotonicity(seed_a, seed_b):
     extra = seed_b % fs.count
     enlarged = tuple(sorted(set(base) | {extra}))
     assert balancing_weights(enlarged, fs) is not None
+
+
+# ---------------------------------------------------------------------------
+# the memoized test and the antichain against one LP per subset
+# ---------------------------------------------------------------------------
+
+
+def brute_force_balanced(fs, mode):
+    check = balancing_weights if mode == "cone" else convex_balancing_weights
+    return [
+        subset
+        for size in range(1, fs.count + 1)
+        for subset in combinations(range(fs.count), size)
+        if check(subset, fs) is not None
+    ]
+
+
+@st.composite
+def firm_systems(draw, count=None):
+    dim = draw(st.integers(2, 4))
+    m = count if count is not None else draw(st.integers(1, 6))
+    coord = st.integers(-2, 3)
+    firms = [tuple(draw(coord) for _ in range(dim)) for _ in range(m)]
+    if draw(st.booleans()):
+        # the average of a few firms: balanced in both modes
+        picks = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+        resource = tuple(
+            Q(sum(firms[i][k] for i in picks), len(picks)) for k in range(dim)
+        )
+    else:
+        resource = tuple(draw(coord) for _ in range(dim))
+    return FirmSystem(firms=firms, resource=resource)
+
+
+@given(firm_systems(), st.sampled_from(["cone", "convex"]))
+@settings(max_examples=80, deadline=None)
+def test_antichain_matches_brute_force(fs, mode):
+    expected = brute_force_balanced(fs, mode)
+    assert balanced_subsets(fs, mode) == expected
+    minimal = minimal_balanced_subsets(fs, mode)
+    assert list(minimal) == sorted(minimal, key=lambda s: (len(s), s))
+    bound = fs.dim + 1 if mode == "convex" else fs.dim
+    for a in minimal:
+        assert len(a) <= bound
+        assert not any(set(b) < set(a) for b in minimal)
+    # the antichain is exactly the minimal members of the brute-force family
+    found = set(expected)
+    assert set(minimal) == {
+        s for s in found if not any(set(t) < set(s) for t in found)
+    }
+    test = balance_test(fs, mode)
+    assert [s for s in expected if test(s)] == expected
+    assert all(test(s) == (s in found) for s in combinations(range(fs.count), 2))
+
+
+def test_coalition_system_antichain_pinned():
+    fs, _ = coalition_system(4)
+    minimal = minimal_balanced_subsets(fs, "cone")
+    assert len(minimal) == 42
+    assert all(len(s) <= fs.dim for s in minimal)
+    assert len(balanced_subsets(fs, "cone")) == 31361
+
+
+def test_equal_firm_systems_share_one_test():
+    fs1, _ = coalition_system(3)
+    fs2, _ = coalition_system(3)
+    assert fs1 is not fs2
+    assert balance_test(fs1, "cone") is balance_test(fs2, "cone")
+    assert balance_test(fs1) is balance_test(fs2, mode="cone")
+    assert balance_test(fs1, "convex") is balance_test(fs2, "convex")
+    assert balance_test(fs1, "convex") is not balance_test(fs1, "cone")
+
+
+def test_balance_test_rejects_bad_mode_and_members():
+    fs = unit_basis_system()
+    with pytest.raises(ValueError):
+        balance_test(fs, "affine")
+    test = balance_test(fs, "cone")
+    with pytest.raises(IndexOutOfRange):
+        test((0, 9))
+    minimal_balanced_subsets(fs, "cone")
+    # once the antichain is known, containment answers without an LP
+    with pytest.raises(IndexOutOfRange):
+        test((0, 9))
+    with pytest.raises(IndexOutOfRange):
+        test(())
+
+
+def closure_reference(fs1, fs2, mode):
+    b1 = set(brute_force_balanced(fs1, mode))
+    b2 = set(brute_force_balanced(fs2, mode))
+    if b1 == b2:
+        return Equivalent()
+    return Differs(min(b1 ^ b2, key=lambda s: (len(s), s)))
+
+
+@st.composite
+def firm_system_pairs(draw):
+    fs1 = draw(firm_systems())
+    how = draw(st.sampled_from(["rescale", "independent"]))
+    if how == "rescale":
+        # positive per-firm scaling keeps the cone family, usually not the
+        # convex one
+        scales = [Q(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in fs1.firms]
+        fs2 = FirmSystem(
+            firms=[tuple(c * t for c in v) for t, v in zip(scales, fs1.firms)],
+            resource=fs1.resource,
+        )
+    else:
+        fs2 = draw(firm_systems(count=fs1.count))
+        if fs2.dim != fs1.dim:
+            fs2 = FirmSystem(
+                firms=[v[: fs1.dim] + (0,) * (fs1.dim - fs2.dim) for v in fs2.firms],
+                resource=fs2.resource[: fs1.dim] + (0,) * (fs1.dim - fs2.dim),
+            )
+    return fs1, fs2
+
+
+@given(firm_system_pairs(), st.sampled_from(["cone", "convex"]))
+@settings(max_examples=60, deadline=None)
+def test_same_balanced_subsets_matches_closure_reference(pair, mode):
+    fs1, fs2 = pair
+    assert same_balanced_subsets(fs1, fs2, mode) == closure_reference(fs1, fs2, mode)

@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from fraccore.cli import main
 from fraccore.formats import (
     cover_from_json,
@@ -107,6 +109,25 @@ def test_balance_enumerate_and_check(capsys):
     assert code == 0
     assert rep["verdict"] == "balanced"
     assert rep["details"]["weights"] == ["1/2", "1/2"]
+
+
+@pytest.mark.parametrize("subset", ["[0,", "5", '["a"]', "[0, 99]"])
+def test_balance_check_malformed_subset(capsys, subset):
+    code = main(
+        ["balance", "check", "--input", data_path("symmetric-s1.json"), "--subset", subset]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "$.subset" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_core_takes_no_firm_cap(capsys):
+    assert main(["core", data_path("example1-embedded.json"), "--firm-cap", "5"]) == 1
+    code, rep = run_cli(capsys, "core", data_path("example1-embedded.json"))
+    assert code == 0
+    assert rep["verdict"] == "nonempty"
 
 
 def test_induce_cover_and_degree(capsys, tmp_path):

@@ -190,3 +190,77 @@ def test_closed_star_cover_labels():
     assert lc.labels[carrier_index[(0,)]] == frozenset({0, 1, 2, 3})
     # a facet barycenter sees only its own colors
     assert lc.labels[carrier_index[(0, 1, 2)]] == frozenset({0, 1, 2})
+
+
+# ---------------------------------------------------------------------------
+# the memoized balancedness test against one LP per facet
+# ---------------------------------------------------------------------------
+
+
+def _fixture_covers():
+    from fraccore.gallery import single_bubble_cover, two_bubble_cover
+    from fraccore.topology.s3_12 import load
+
+    covers = [identity_cover(k) for k in (1, 2, 3)]
+    rng = random.Random(2718)
+    oc, carriers = sperner_complex(2, 1)
+    for _ in range(3):
+        labels = [frozenset(rng.sample(range(4), rng.randint(1, 2))) for _ in carriers]
+        covers.append(LabeledCover(oc, labels, unit_firms(4)))
+    fs = FirmSystem(firms=[(1, 0), (0, 1), (-1, -1)], resource=("1/2", "1/2"))
+    K = SimplicialComplex(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    covers.append(
+        LabeledCover(OrientedComplex(K, (1, 1, 1, -1)), [frozenset({i % 2}) for i in range(4)], fs)
+    )
+    game = embed_coalitional(loss_sharing_tu())
+    third = Q(1, 3)
+    region = SimplexRegion(
+        tuple(
+            tuple(-Q(60) * ((Q(1) if j == i else Q(0)) - third) for j in range(3))
+            for i in range(3)
+        )
+    )
+    covers.append(induce_labeling(game, region, 2))
+    covers += [two_bubble_cover(1, -1), single_bubble_cover(1)]
+    sphere, coloring = load()
+    covers.append(closed_star_cover(sphere, coloring, unit_firms(4)))
+    return covers
+
+
+def _per_facet(lc, fn, label_sets):
+    return [
+        i
+        for i, facet in enumerate(lc.oriented.complex.facets)
+        if fn(sorted(label_sets(facet)), lc.firm_system) is not None
+    ]
+
+
+def test_topology_balancedness_matches_per_facet_lps():
+    from fraccore.balance import balancing_weights, convex_balancing_weights
+    from fraccore.topology.index import balanced_facet_indices
+
+    degrees = 0
+    for lc in _fixture_covers():
+        facets = lc.oriented.complex.facets
+
+        def union(facet, lc=lc):
+            return set().union(*(lc.labels[u] for u in facet))
+
+        def lowest(facet, lc=lc):
+            return {min(lc.labels[u]) for u in facet}
+
+        for mode, fn in (("cone", balancing_weights), ("convex", convex_balancing_weights)):
+            expected = [facets[i] for i in _per_facet(lc, fn, union)]
+            assert rainbow_simplices(lc, mode) == expected
+        assert balanced_facet_indices(lc) == _per_facet(lc, convex_balancing_weights, union)
+        try:
+            res = pl_degree(lc)
+        except (DimensionMismatch, NotClosedManifold):
+            continue
+        first = _per_facet(lc, convex_balancing_weights, lowest)[:1]
+        if first:
+            assert res == BalancedSimplexFound(facets[first[0]])
+        else:
+            assert isinstance(res, Degree)
+            degrees += 1
+    assert degrees >= 3

@@ -377,3 +377,103 @@ def test_nonzero_region_degree_implies_nonempty():
     else:
         # a balanced simplex on the boundary also witnesses nonemptiness
         assert isinstance(fractional_core_solve(game), Nonempty)
+
+
+# ---------------------------------------------------------------------------
+# minimal-subset solvers against the loop over every balanced subset
+# ---------------------------------------------------------------------------
+
+
+def _closure_fractional_core(game):
+    """fractional_core_solve as a loop over the full balanced closure."""
+    from fraccore.balance import balanced_subsets
+    from fraccore.frac_core import (
+        _Budget,
+        _escape_options,
+        _membership_rows,
+        _search,
+        make_witness,
+    )
+
+    budget = _Budget(10**6)
+    escapes = [_escape_options(q) for u in game.utilities for q in u.primitives]
+    for subset in balanced_subsets(game.firm_system, "cone"):
+
+        def accept(point, _subset=subset):
+            x = vec(point)
+            if any(u.uplift(x) > 0 for u in game.utilities):
+                return False
+            return all(contains(game.utilities[i], x) for i in _subset)
+
+        memberships = [
+            [_membership_rows(p) for p in game.utilities[i].primitives] for i in subset
+        ]
+        found = _search(game.dim, [], memberships + escapes, accept, budget)
+        if found is not None:
+            return Nonempty(make_witness(game, found, subset))
+    return Empty()
+
+
+def _closure_balanced_game(game):
+    """is_balanced_game as a loop over the full balanced closure."""
+    from itertools import product
+
+    from fraccore.balance import balanced_subsets
+    from fraccore.exact_linear import Infeasible, LinearSystem, Optimal, maximize
+
+    dist = game.distinguished
+    target = game.utilities[dist]
+    if len(target.primitives) > 1:
+        return Unsupported("distinguished utility set must be a single primitive")
+    for subset in balanced_subsets(game.firm_system, "cone"):
+        if dist in subset:
+            continue
+        for choice in product(*(game.utilities[i].primitives for i in subset)):
+            rows = [(h.normal, h.offset) for prim in choice for h in prim.halfspaces]
+            sys = LinearSystem(game.dim, leq=tuple(rows))
+            for h in target.primitives[0].halfspaces:
+                res = maximize(h.normal, sys)
+                if isinstance(res, Infeasible):
+                    break
+                if isinstance(res, Optimal) and res.value <= h.offset:
+                    continue
+                if isinstance(res, Optimal):
+                    return ViolatedGame(subset, res.witness)
+                base, ray = res.witness, res.ray
+                gain = sum(a * r for a, r in zip(h.normal, ray))
+                steps = (h.offset - sum(a * b for a, b in zip(h.normal, base))) / gain
+                t = steps + 1 if steps > 0 else Q(1)
+                return ViolatedGame(subset, tuple(b + t * r for b, r in zip(base, ray)))
+    return BalancedGame()
+
+
+def _differential_games():
+    rng = random.Random(4711)
+    games = []
+    for _ in range(20):
+        game = _random_small_game(rng)
+        games.append(
+            GeneralizedGame(
+                game.utilities, game.firm_system, distinguished=rng.randrange(game.firm_count)
+            )
+        )
+    for _ in range(6):
+        games.append(embed_coalitional(_random_orthant_ntu(rng)))
+    for tu in (loss_sharing_tu(), loss_sharing_tu_modified()):
+        games.append(embed_coalitional(tu))
+    for game in (directed_transfers_game(), symmetric_pairs_game_s1()):
+        games.append(GeneralizedGame(game.utilities, game.firm_system, distinguished=0))
+    return games
+
+
+def test_minimal_subset_solvers_match_closure_loop():
+    verdicts = set()
+    for game in _differential_games():
+        frac = fractional_core_solve(game)
+        assert frac == _closure_fractional_core(game)
+        balanced = is_balanced_game(game)
+        assert balanced == _closure_balanced_game(game)
+        verdicts.add((type(frac).__name__, type(balanced).__name__))
+    # both verdicts of both solvers occur
+    assert {f for f, _ in verdicts} == {"Nonempty", "Empty"}
+    assert {b for _, b in verdicts} >= {"BalancedGame", "ViolatedGame"}
