@@ -128,8 +128,9 @@ class BalanceTest:
     The answer depends only on the firm system and the mode, so it is kept
     per member set.  Once the minimal balanced subsets are known, a member
     set is balanced exactly when it contains one of them, and no further LP
-    runs.  Concurrent callers may compute an answer twice; they store the
-    same value.
+    runs.  The weights of every LP that found a set balanced are kept too,
+    so each minimal subset has the weights that decided it.  Concurrent
+    callers may compute an answer twice; they store the same value.
     """
 
     def __init__(self, fs: FirmSystem, mode: str):
@@ -137,19 +138,35 @@ class BalanceTest:
         self.fs = fs
         self.mode = mode
         self._known = {}
+        self._weights = {}
         self._minimal = None
         self._masks = None
+
+    def _solve(self, members) -> bool:
+        weights = _mode_fn(self.mode)(members, self.fs)
+        if weights is not None:
+            self._weights[members] = weights
+        return weights is not None
 
     def __call__(self, subset) -> bool:
         members = tuple(sorted(set(subset)))
         known = self._known.get(members)
         if known is None:
             if self._masks is None:
-                known = _mode_fn(self.mode)(members, self.fs) is not None
+                known = self._solve(members)
             else:
                 known = _contains_any(_mask(_check_members(members, self.fs)), self._masks)
             self._known[members] = known
         return known
+
+    def weights(self, subset) -> tuple:
+        """Balancing weights of a balanced member set, aligned with its
+        sorted members: for a minimal subset, those of the LP that decided
+        it; any other set is solved once here."""
+        members = _check_members(subset, self.fs)
+        if members not in self._weights and not self._solve(members):
+            raise ValueError(f"member set {members} is not balanced")
+        return self._weights[members]
 
     def minimal(self) -> tuple:
         """The minimal balanced subsets, in (size, lex) order.
@@ -274,30 +291,15 @@ def convexify(fs: FirmSystem):
 # ---------------------------------------------------------------------------
 
 
-def _family_balanced(family, n: int) -> bool:
-    """LP feasibility of nonnegative weights summing to the all-ones vector."""
-    k = len(family)
-    eqs = []
-    for player in range(n):
-        eqs.append(
-            (tuple(ONE if player in s else ZERO for s in family), ONE)
-        )
-    nonneg = []
-    for j in range(k):
-        e = [ZERO] * k
-        e[j] = -ONE
-        nonneg.append((tuple(e), ZERO))
-    sys = LinearSystem(k, equalities=tuple(eqs), leq=tuple(nonneg))
-    return isinstance(solve_feasibility(sys), Feasible)
-
-
 def minimal_balanced_families(n: int, cap: int = DEFAULT_PLAYER_CAP):
     """All minimal balanced families of coalitions of range(n), with weights.
 
     Candidates only need size <= n (any larger balanced family has a proper
-    balanced subfamily by Caratheodory, hence is not minimal) and unique
-    strictly positive weights; minimality itself is certified by checking
-    every proper subfamily for balancedness, per the definition.
+    balanced subfamily by Caratheodory, hence is not minimal).  A minimal
+    family has independent characteristic vectors and positive weights,
+    and such a family is minimal: a balanced proper subfamily, its weights
+    padded with zeros, would be a second solution of the same independent
+    system.  So one exact solve per candidate decides it.
     """
     if n > cap:
         raise CapExceeded(f"{n} players exceeds the cap {cap}")
@@ -310,23 +312,9 @@ def minimal_balanced_families(n: int, cap: int = DEFAULT_PLAYER_CAP):
         for family in combinations(coals, size):
             cols = [[ONE if p in s else ZERO for s in family] for p in range(n)]
             solved = gaussian_solve(cols, ones)
-            if solved is None:
-                continue
-            weights, pivots, free = solved
-            if free:
-                # dependent characteristic vectors: never minimal
-                continue
-            if any(w <= ZERO for w in weights):
-                continue
-            proper = False
-            for sub_size in range(1, size):
-                for sub in combinations(family, sub_size):
-                    if _family_balanced(sub, n):
-                        proper = True
-                        break
-                if proper:
-                    break
-            if not proper:
-                out.append(checked_family(family, weights, n))
+            # free columns are zero in the solution, so positive weights
+            # also mean independent characteristic vectors
+            if solved is not None and all(w > ZERO for w in solved[0]):
+                out.append(checked_family(family, solved[0], n))
     out.sort(key=lambda f: (len(f.subsets), f.subsets))
     return out

@@ -9,7 +9,10 @@ capped at 1, so no epsilon heuristics appear anywhere.
 The tableau is fraction-free: the standard form is scaled once to integers
 (rows by the lcm of their denominators, the objective by its own), and
 pivots use Bareiss's integer-preserving update, so every entry is an
-integer over one shared denominator, the basis determinant.  Positive
+integer over one shared denominator, the basis determinant.  The update
+(``_eliminate``) and the integer scaling (``_clear_denominators``) are the
+ones ``linalg`` reduces its matrices with: the package has one exact
+elimination kernel.  Positive
 scaling changes no sign and no ratio, so the pivots are those of the same
 simplex over rationals.  Rationals appear only when reading the input and
 when building the returned value, witness and ray.
@@ -20,9 +23,9 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import MalformedSystem
+from .linalg import _clear_denominators, _eliminate
 from .rationals import ONE, ZERO, Q, rat, vec
 
 
@@ -85,19 +88,6 @@ class Unbounded:
 # absolute value of the current basis determinant; by Sylvester's identity
 # every division in a Bareiss pivot is exact.
 # ---------------------------------------------------------------------------
-
-
-def _eliminate(row, prow, support, p, col, det):
-    """Row ``row`` after a Bareiss pivot on ``prow[col] == p``.
-
-    Off the pivot row's ``support`` (its nonzero columns) an entry x only
-    rescales to x * p / det."""
-    f = row[col]
-    new = row[:] if p == det else [x * p // det if x else 0 for x in row]
-    if f:
-        for j in support:
-            new[j] = (row[j] * p - f * prow[j]) // det
-    return new
 
 
 def _pivot(rows, obj, basis, r, col, det):
@@ -202,15 +192,6 @@ def _solve_standard(a_rows, b, c):
 # ---------------------------------------------------------------------------
 # public operations over free-variable systems
 # ---------------------------------------------------------------------------
-
-
-def _clear_denominators(values):
-    """Integers and the positive scale (lcm of the denominators) such that
-    values[i] == integers[i] / scale."""
-    scale = lcm(*(x.denominator for x in values))
-    if scale == 1:
-        return [int(x.numerator) for x in values], 1
-    return [int(x.numerator) * (scale // int(x.denominator)) for x in values], scale
 
 
 def _standard_form(objective, equalities, leqs):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .balance import balance_test, balancing_weights, minimal_balanced_subsets
+from .balance import balance_test, minimal_balanced_subsets
 from .errors import CapExceeded, OverlapAmbiguity
 from .exact_linear import (
     Feasible,
@@ -189,8 +189,7 @@ def make_witness(game: GeneralizedGame, x, active) -> FractionalCoreWitness:
     base = tuple(c - level for c in x)
     assert tau(game.utilities, base) == level, "level must equal the uplift"
     active = tuple(sorted(active))
-    weights = balancing_weights(active, game.firm_system)
-    assert weights is not None
+    weights = balance_test(game.firm_system, "cone").weights(active)
     return FractionalCoreWitness(x, base, level, active, weights)
 
 

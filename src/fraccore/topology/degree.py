@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from ..game_model import FirmSystem, GeneralizedGame, cover_labels
-from ..linalg import det, gaussian_solve, rank, solve_square
+from ..linalg import affine_basis, det, gaussian_solve, solve_square
 from ..rationals import ONE, ZERO, Q, rat, vec
 from .complexes import (
     OrientedComplex,
@@ -68,10 +68,7 @@ def _affine_coordinates(fs: FirmSystem, k: int):
     The span must have dimension k+1 for a degree on a k-manifold.
     """
     diffs = [tuple(a - b for a, b in zip(v, fs.resource)) for v in fs.firms]
-    basis = []
-    for d in diffs:
-        if rank(basis + [list(d)]) > len(basis):
-            basis.append(list(d))
+    basis = [diffs[i - 1] for i in affine_basis((fs.resource, *fs.firms))[1:]]
     if len(basis) != k + 1:
         raise DimensionMismatch(
             f"affine hull of firms and resource has dimension {len(basis)}, "

@@ -160,6 +160,38 @@ def test_minimal_families_n4_count():
     assert by_size == {1: 1, 2: 7, 3: 12, 4: 22}
 
 
+def _definition_minimal_families(n):
+    """Minimal balanced families by the definition: balanced by an LP, and
+    no proper subfamily balanced by an LP.  Families of size <= n suffice
+    (Caratheodory); their subfamilies are among them, so each family's LP
+    runs once."""
+    from fraccore.exact_linear import Feasible, LinearSystem, solve_feasibility
+
+    def weights(family):
+        k = len(family)
+        eqs = [(tuple(1 if p in s else 0 for s in family), 1) for p in range(n)]
+        nonneg = [(tuple(-1 if j == i else 0 for j in range(k)), 0) for i in range(k)]
+        res = solve_feasibility(LinearSystem(k, equalities=eqs, leq=nonneg))
+        return res.witness if isinstance(res, Feasible) else None
+
+    families = [f for size in range(1, n + 1) for f in combinations(coalitions(n), size)]
+    solved = {f: weights(f) for f in families}
+    return [
+        (f, solved[f])
+        for f in families
+        if solved[f] is not None
+        and not any(solved[sub] is not None
+                    for k in range(1, len(f)) for sub in combinations(f, k))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minimal_families_match_definition(n):
+    got = [(f.subsets, f.weights) for f in minimal_balanced_families(n)]
+    want = sorted(_definition_minimal_families(n), key=lambda fw: (len(fw[0]), fw[0]))
+    assert got == want
+
+
 def test_minimal_families_cap():
     with pytest.raises(CapExceeded):
         minimal_balanced_families(6)
@@ -356,3 +388,17 @@ def firm_system_pairs(draw):
 def test_same_balanced_subsets_matches_closure_reference(pair, mode):
     fs1, fs2 = pair
     assert same_balanced_subsets(fs1, fs2, mode) == closure_reference(fs1, fs2, mode)
+
+
+def test_test_weights_come_from_the_deciding_lp():
+    fs, coals = coalition_system(3)
+    grand = coals.index((0, 1, 2))
+    test = balance_test(fs, "cone")
+    for subset in test.minimal():
+        assert test.weights(subset) == balancing_weights(subset, fs)
+    # a non-minimal balanced set is solved once, on request
+    assert test.weights((grand, 0)) == balancing_weights((0, grand), fs)
+    with pytest.raises(ValueError):
+        test.weights((0,))
+    with pytest.raises(IndexOutOfRange):
+        test.weights((0, 99))

@@ -477,3 +477,26 @@ def test_minimal_subset_solvers_match_closure_loop():
     # both verdicts of both solvers occur
     assert {f for f, _ in verdicts} == {"Nonempty", "Empty"}
     assert {b for _, b in verdicts} >= {"BalancedGame", "ViolatedGame"}
+
+
+def test_witness_reads_the_weights_of_the_deciding_lp(monkeypatch):
+    # no member set is solved twice: the witness takes the weights the LP
+    # returned when it found the active subset balanced
+    from fraccore import balance
+
+    original = balance.balancing_weights
+    solved = []
+
+    def spy(subset, fs):
+        solved.append(tuple(sorted(subset)))
+        return original(subset, fs)
+
+    monkeypatch.setattr(balance, "balancing_weights", spy)
+    balance._cached_test.cache_clear()
+    for game in (embed_coalitional(loss_sharing_tu_modified()), symmetric_pairs_game_s1()):
+        solved.clear()
+        res = fractional_core_solve(game)
+        assert isinstance(res, Nonempty)
+        assert res.witness.active in solved
+        assert len(solved) == len(set(solved))
+        assert res.witness.weights == original(res.witness.active, game.firm_system)
