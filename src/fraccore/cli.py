@@ -19,6 +19,7 @@ from .formats import (
     complex_from_json,
     cover_from_json,
     cover_to_json,
+    firm_system_from_json,
     game_from_json,
     game_to_json,
     point_from_json,
@@ -27,7 +28,7 @@ from .formats import (
     tu_from_json,
 )
 from .game_model import FirmSystem, coalitions, validate_game
-from .rationals import Q, rat_json
+from .rationals import Q, rat, rat_json
 from .topology import degree as topo_degree
 from .topology import index as topo_index
 from .topology.hopf import hopf_invariant
@@ -38,42 +39,37 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise MalformedInput(f"$: cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"$: invalid JSON in {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"$: cannot read JSON from {path}: {exc}") from exc
 
 
-def _firm_system_from(obj) -> FirmSystem:
-    if "firms" not in obj or "resource" not in obj:
-        raise MalformedInput("$: firm system needs 'firms' and 'resource'")
-    from .formats import _numvec
-
-    return FirmSystem(
-        firms=[_numvec(v, f"$.firms[{i}]") for i, v in enumerate(obj["firms"])],
-        resource=_numvec(obj["resource"], "$.resource"),
-    )
-
-
-def _load_firm_system(args) -> FirmSystem:
-    obj = _load_json(args.input)
-    if "utilities" in obj:
+def _load_firm_system(path) -> FirmSystem:
+    obj = _load_json(path)
+    if isinstance(obj, dict) and "utilities" in obj:
         return game_from_json(obj).firm_system
-    return _firm_system_from(obj)
+    return firm_system_from_json(obj)
 
 
-def _vector_arg(text, what="point"):
+def _json_arg(text, what):
     try:
-        return point_from_json(json.loads(text), f"$.{what}")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"$.{what}: invalid JSON: {exc}") from exc
 
 
+def _point(obj, path, dim):
+    point = point_from_json(obj, path)
+    if len(point) != dim:
+        raise MalformedInput(f"{path}: {len(point)} entries, expected {dim}")
+    return point
+
+
+def _vector_arg(text, what, dim):
+    return _point(_json_arg(text, what), f"$.{what}", dim)
+
+
 def _subset_arg(text, fs: FirmSystem) -> tuple:
-    try:
-        subset = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"$.subset: invalid JSON: {exc}") from exc
+    subset = _json_arg(text, "subset")
     if not isinstance(subset, list) or not subset:
         raise MalformedInput("$.subset: expected a nonempty list of firm indices")
     for i, idx in enumerate(subset):
@@ -127,6 +123,8 @@ def _require(args, *names):
 def _cmd_balance(args):
     if args.action == "minimal":
         _require(args, "players")
+        if args.players < 1:
+            raise _UsageError("--players must be at least 1")
         fams = balance.minimal_balanced_families(args.players)
         return "computed", {
             "count": len(fams),
@@ -139,7 +137,7 @@ def _cmd_balance(args):
             ],
         }
     _require(args, "input")
-    fs = _load_firm_system(args)
+    fs = _load_firm_system(args.input)
     if args.action == "enumerate":
         subsets = balance.balanced_subsets(fs, args.mode)
         return "computed", {"balanced_subsets": [list(s) for s in subsets]}
@@ -168,12 +166,7 @@ def _cmd_balance(args):
         }
     if args.action == "equivalent":
         _require(args, "other")
-        other = _load_json(args.other)
-        fs2 = (
-            game_from_json(other).firm_system
-            if "utilities" in other
-            else _firm_system_from(other)
-        )
+        fs2 = _load_firm_system(args.other)
         res = balance.same_balanced_subsets(fs, fs2, args.mode)
         if isinstance(res, balance.Equivalent):
             return "equivalent", {}
@@ -191,7 +184,7 @@ def _cmd_tu_core(args):
     else:
         verdict = "empty"
     if args.check_point:
-        point = _vector_arg(args.check_point)
+        point = _vector_arg(args.check_point, "check_point", game.n)
         check = tu_solver.check_core_point(game, point)
         if isinstance(check, tu_solver.Accept):
             details["check_point"] = {"verdict": "accept"}
@@ -230,14 +223,21 @@ def _cmd_frac_core(args):
     else:
         verdict = "empty"
     if args.verify_point:
-        point = _vector_arg(args.verify_point)
+        point = _vector_arg(args.verify_point, "verify_point", game.dim)
         ok, info = frac_core.verify_fractional_core_point(game, point)
         details["verify_point"] = {"accepted": ok, "info": info}
     return verdict, details
 
 
-def _cmd_core(args):
+def _distinguished_game(args):
     game = game_from_json(_load_json(args.input))
+    if game.distinguished is None:
+        raise MalformedInput(f"$.distinguished: {args.command} needs a distinguished firm")
+    return game
+
+
+def _cmd_core(args):
+    game = _distinguished_game(args)
     res = frac_core.core_solve(game, node_cap=args.node_cap)
     if isinstance(res, frac_core.CorePoint):
         return "nonempty", {"core_point": rational_vector_json(res.point)}
@@ -245,7 +245,7 @@ def _cmd_core(args):
 
 
 def _cmd_game_balanced(args):
-    game = game_from_json(_load_json(args.input))
+    game = _distinguished_game(args)
     res = frac_core.is_balanced_game(game, subset_cap=args.firm_cap)
     if isinstance(res, frac_core.BalancedGame):
         return "balanced", {}
@@ -268,15 +268,20 @@ def _cmd_induce_cover(args):
     game = game_from_json(_load_json(args.input))
     if args.region == "simplex":
         _require(args, "vertices")
-        pts = json.loads(args.vertices)
+        pts = _json_arg(args.vertices, "vertices")
+        if not isinstance(pts, list) or len(pts) < 2:
+            raise MalformedInput("$.vertices: expected a list of at least two points")
         region = topo_degree.SimplexRegion(
-            tuple(point_from_json(p, "$.vertices[*]") for p in pts)
+            tuple(_point(p, f"$.vertices[{i}]", game.dim) for i, p in enumerate(pts))
         )
     else:
         _require(args, "center")
-        region = topo_degree.CubeRegion(
-            point_from_json(json.loads(args.center), "$.center"), args.halfwidth
-        )
+        try:
+            halfwidth = rat(args.halfwidth)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"$.halfwidth: not a rational: {args.halfwidth!r}") from exc
+        center = _vector_arg(args.center, "center", game.dim)
+        region = topo_degree.CubeRegion(center, halfwidth)
     lc = topo_degree.induce_labeling(game, region, args.depth)
     sys.stdout.write(serialize(cover_to_json(lc)))
     return None, None
@@ -313,7 +318,11 @@ def _cmd_index_sum(args):
 
 def _cmd_hopf(args):
     oc, labels = complex_from_json(_load_json(args.input))
-    if labels is None or any(len(ls) != 1 for ls in labels):
+    if (
+        labels is None
+        or len(labels) != oc.complex.num_vertices
+        or any(len(ls) != 1 for ls in labels)
+    ):
         raise MalformedInput("$.labels: need exactly one target vertex per vertex")
     vertex_map = [min(ls) for ls in labels]
     value = hopf_invariant(oc, vertex_map)

@@ -8,7 +8,10 @@ trailing newline) so parse/serialize round-trips are byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from itertools import chain
 
+from .errors import DimensionMismatch
 from .game_model import (
     ComprehensiveSet,
     FirmSystem,
@@ -31,16 +34,67 @@ def serialize(obj) -> str:
 
 
 def _num(value, path):
-    try:
-        return rat(value)
-    except (ValueError, TypeError) as exc:
-        raise MalformedInput(f"{path}: not a rational: {value!r}") from exc
+    if type(value) is not bool:
+        try:
+            return rat(value)
+        except (ValueError, TypeError, ZeroDivisionError):
+            pass
+    raise MalformedInput(f"{path}: not a rational: {value!r}")
 
 
 def _numvec(values, path):
     if not isinstance(values, list):
         raise MalformedInput(f"{path}: expected a list")
     return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
+def _ints(values, path):
+    if isinstance(values, list) and {int}.issuperset(map(type, values)):
+        return tuple(values)
+    raise MalformedInput(f"{path}: expected a list of integers")
+
+
+def _int_lists(rows, path):
+    if (
+        isinstance(rows, list)
+        and {list}.issuperset(map(type, rows))
+        and {int}.issuperset(map(type, chain.from_iterable(rows)))
+    ):
+        return tuple(map(tuple, rows))
+    raise MalformedInput(f"{path}: expected a list of lists of integers")
+
+
+@contextmanager
+def _reading():
+    """Report any error raised while a document is read as MalformedInput."""
+    try:
+        yield
+    except MalformedInput:
+        raise
+    except KeyError as exc:
+        raise MalformedInput(f"$: missing field {exc}") from exc
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError,
+            DimensionMismatch) as exc:
+        raise MalformedInput(f"$: {exc}") from exc
+
+
+def _object(obj):
+    if not isinstance(obj, dict):
+        raise MalformedInput("$: expected an object")
+    return obj
+
+
+def firm_system_from_json(obj) -> FirmSystem:
+    """The firm system of a game, cover or firm-system document."""
+    with _reading():
+        resource = _numvec(_object(obj)["resource"], "$.resource")
+        firms = [_numvec(v, f"$.firms[{i}]") for i, v in enumerate(obj["firms"])]
+        for i, v in enumerate(firms):
+            if len(v) != len(resource):
+                raise MalformedInput(
+                    f"$.firms[{i}]: {len(v)} entries, the resource has {len(resource)}"
+                )
+        return FirmSystem(firms=firms, resource=resource)
 
 
 def game_to_json(game: GeneralizedGame) -> dict:
@@ -71,11 +125,9 @@ def game_to_json(game: GeneralizedGame) -> dict:
 
 
 def game_from_json(obj) -> GeneralizedGame:
-    if not isinstance(obj, dict):
-        raise MalformedInput("$: expected an object")
-    try:
+    with _reading():
         utilities = []
-        for ui, uobj in enumerate(obj["utilities"]):
+        for ui, uobj in enumerate(_object(obj)["utilities"]):
             prims = []
             for pi, pobj in enumerate(uobj["primitives"]):
                 hss = []
@@ -86,22 +138,25 @@ def game_from_json(obj) -> GeneralizedGame:
                     )
                 prims.append(Primitive(tuple(hss)))
             utilities.append(ComprehensiveSet(tuple(prims)))
-        fs = FirmSystem(
-            firms=[_numvec(v, f"$.firms[{i}]") for i, v in enumerate(obj["firms"])],
-            resource=_numvec(obj["resource"], "$.resource"),
-        )
-        game = GeneralizedGame(
-            tuple(utilities), fs, distinguished=obj.get("distinguished")
-        )
+            if utilities[-1].dim != utilities[0].dim:
+                raise MalformedInput(
+                    f"$.utilities[{ui}]: dimension {utilities[-1].dim}, "
+                    f"utility 0 has {utilities[0].dim}"
+                )
+        if not utilities:
+            raise MalformedInput("$.utilities: expected at least one utility set")
+        fs = firm_system_from_json(obj)
+        distinguished = obj.get("distinguished")
+        if distinguished is not None and (
+            type(distinguished) is not int or not 0 <= distinguished < fs.count
+        ):
+            raise MalformedInput(f"$.distinguished: not a firm index: {distinguished!r}")
+        game = GeneralizedGame(tuple(utilities), fs, distinguished=distinguished)
         if "dimension" in obj and int(obj["dimension"]) != game.dim:
             raise MalformedInput(
                 f"$.dimension: {obj['dimension']} but half-spaces have {game.dim}"
             )
         return game
-    except KeyError as exc:
-        raise MalformedInput(f"$: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise MalformedInput(f"$: {exc}") from exc
 
 
 def tu_to_json(game: TUGame) -> dict:
@@ -113,19 +168,13 @@ def tu_to_json(game: TUGame) -> dict:
 
 
 def tu_from_json(obj) -> TUGame:
-    if not isinstance(obj, dict):
-        raise MalformedInput("$: expected an object")
-    try:
-        n = int(obj["n"])
+    with _reading():
+        n = int(_object(obj)["n"])
         values = {}
         for key, v in obj["values"].items():
             coal = tuple(int(s) - 1 for s in key.split(","))
             values[coal] = _num(v, f"$.values[{key!r}]")
         return TUGame(n, values)
-    except KeyError as exc:
-        raise MalformedInput(f"$: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise MalformedInput(f"$: {exc}") from exc
 
 
 def cover_to_json(lc: LabeledCover) -> dict:
@@ -140,41 +189,24 @@ def cover_to_json(lc: LabeledCover) -> dict:
     }
 
 
+def _complex(obj):
+    facets = _int_lists(_object(obj)["facets"], "$.facets")
+    return SimplicialComplex(int(obj["vertices"]), facets)
+
+
+def _labels(labels):
+    return tuple(map(frozenset, _int_lists(labels, "$.labels")))
+
+
 def cover_from_json(obj) -> LabeledCover:
-    if not isinstance(obj, dict):
-        raise MalformedInput("$: expected an object")
-    try:
-        K = SimplicialComplex(int(obj["vertices"]), tuple(tuple(f) for f in obj["facets"]))
-        oc = OrientedComplex(K, tuple(obj["orientation"]))
-        fs = FirmSystem(
-            firms=[_numvec(v, f"$.firms[{i}]") for i, v in enumerate(obj["firms"])],
-            resource=_numvec(obj["resource"], "$.resource"),
-        )
-        labels = tuple(frozenset(ls) for ls in obj["labels"])
-        return LabeledCover(oc, labels, fs)
-    except KeyError as exc:
-        raise MalformedInput(f"$: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise MalformedInput(f"$: {exc}") from exc
-
-
-def complex_to_json(oc: OrientedComplex, labels=None) -> dict:
-    out = {
-        "schema": "fraccore.complex/1",
-        "vertices": oc.complex.num_vertices,
-        "facets": [list(f) for f in oc.complex.facets],
-        "orientation": list(oc.orientation),
-    }
-    if labels is not None:
-        out["labels"] = [sorted(ls) for ls in labels]
-    return out
+    with _reading():
+        oc = OrientedComplex(_complex(obj), _ints(obj["orientation"], "$.orientation"))
+        return LabeledCover(oc, _labels(obj["labels"]), firm_system_from_json(obj))
 
 
 def complex_from_json(obj):
-    if not isinstance(obj, dict):
-        raise MalformedInput("$: expected an object")
-    try:
-        K = SimplicialComplex(int(obj["vertices"]), tuple(tuple(f) for f in obj["facets"]))
+    with _reading():
+        K = _complex(obj)
         orientation = obj.get("orientation")
         if orientation is None:
             from .topology.complexes import propagate_orientation
@@ -183,15 +215,11 @@ def complex_from_json(obj):
             if oc is None:
                 raise MalformedInput("$.orientation: missing and not derivable")
         else:
-            oc = OrientedComplex(K, tuple(orientation))
+            oc = OrientedComplex(K, _ints(orientation, "$.orientation"))
         labels = obj.get("labels")
         if labels is not None:
-            labels = tuple(frozenset(ls) for ls in labels)
+            labels = _labels(labels)
         return oc, labels
-    except KeyError as exc:
-        raise MalformedInput(f"$: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise MalformedInput(f"$: {exc}") from exc
 
 
 def point_from_json(obj, path="$.point"):

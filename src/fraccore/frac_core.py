@@ -7,9 +7,12 @@ For this representation class a point escapes an interior iff the set's
 uplift there is <= 0, so the fractional core is a finite union of
 polyhedra: pick one primitive per active firm (membership) and one reversed
 half-space per primitive anywhere (escape).  The solver explores exactly
-that certificate space depth-first, pruning by LP feasibility; at every node
-it additionally tests an LP point against the definition directly, which
+that certificate space depth-first with one LP per node: it maximizes the
+total payoff over the node's rows, prunes when they are infeasible, and
+otherwise tests the LP's point against the definition directly, which
 short-circuits most nonempty instances long before the tree is exhausted.
+The test is one pass over the firms' uplifts at the point: an uplift above
+0 blocks, and an unblocked point lies in a set exactly when its uplift is 0.
 
 Everything is deterministic: subsets in (size, lex) order, primitives and
 half-spaces in construction order.
@@ -22,15 +25,7 @@ from itertools import product
 
 from .balance import balance_test, minimal_balanced_subsets
 from .errors import CapExceeded, OverlapAmbiguity
-from .exact_linear import (
-    Feasible,
-    Infeasible,
-    LinearSystem,
-    Optimal,
-    Unbounded,
-    maximize,
-    solve_feasibility,
-)
+from .exact_linear import Infeasible, LinearSystem, Optimal, maximize
 from .game_model import (
     CoalitionalNTUGame,
     ComprehensiveSet,
@@ -210,19 +205,6 @@ class _Budget:
             raise CapExceeded("certificate search exceeded its node cap")
 
 
-def _feasible_point(rows, n):
-    res = solve_feasibility(LinearSystem(n, leq=tuple(rows)))
-    return res.witness if isinstance(res, Feasible) else None
-
-
-def _probe_point(rows, n):
-    """A point pushed toward the upper boundary (max total payoff)."""
-    res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows)))
-    if isinstance(res, (Optimal, Unbounded)):
-        return res.witness
-    return None
-
-
 def _membership_rows(prim: Primitive):
     return [(h.normal, h.offset) for h in prim.halfspaces]
 
@@ -234,22 +216,41 @@ def _escape_options(prim: Primitive):
     ]
 
 
+def _accepts(utilities, members, exempt=frozenset()):
+    """The definition check of a search, as ``accept(point)``: one pass over
+    the uplifts, failing as soon as a firm outside ``exempt`` blocks the
+    point (uplift > 0) or a firm in ``members`` misses it (uplift < 0)."""
+    members = frozenset(members)
+
+    def accept(point):
+        for i, u in enumerate(utilities):
+            t = u.uplift(point)
+            if (t > ZERO and i not in exempt) or (t < ZERO and i in members):
+                return False
+        return True
+
+    return accept
+
+
 def _search(n, rows, pending, accept, budget):
     """DFS over disjunctive row groups.  ``pending`` is a list of option
-    lists; ``accept(point)`` is the exact definition check."""
+    lists; ``accept(point)`` is the exact definition check.
+
+    Each node runs one LP, maximizing the total payoff over its rows, and
+    tests only that LP's point.  An accepted point lies in some leaf
+    polyhedron below its node, and at a leaf every feasible point passes, so
+    whether a point is found does not depend on which points get tested.
+    """
     budget.spend()
     # forced extensions first: single-option groups add rows without branching
     while pending and len(pending[0]) == 1:
         rows = rows + pending[0][0]
         pending = pending[1:]
-    point = _feasible_point(rows, n)
-    if point is None:
+    res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows)))
+    if isinstance(res, Infeasible):
         return None
-    if accept(point):
-        return point
-    probe = _probe_point(rows, n)
-    if probe is not None and accept(probe):
-        return probe
+    if accept(res.witness):
+        return res.witness
     if not pending:
         # a full certificate's polyhedron: any feasible point qualifies;
         # reaching here with accept failing would indicate an interior
@@ -282,19 +283,12 @@ def fractional_core_solve(
     all_prims = [p for u in game.utilities for p in u.primitives]
     escapes = [_escape_options(q) for q in all_prims]
     for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
-
-        def accept(point, _subset=subset):
-            x = vec(point)
-            if any(u.uplift(x) > ZERO for u in game.utilities):
-                return False
-            return all(contains(game.utilities[i], x) for i in _subset)
-
         memberships = [
             [_membership_rows(p) for p in game.utilities[i].primitives]
             for i in subset
         ]
-        pending = memberships + escapes
-        found = _search(n, [], pending, accept, budget)
+        accept = _accepts(game.utilities, subset)
+        found = _search(n, [], memberships + escapes, accept, budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -314,16 +308,7 @@ def core_solve(game: GeneralizedGame, node_cap: int = DEFAULT_NODE_CAP):
         if f != dist
         for p in u.primitives
     ]
-
-    def accept(point):
-        if not contains(game.utilities[dist], point):
-            return False
-        return all(
-            game.utilities[f].uplift(point) <= ZERO
-            for f in range(game.firm_count)
-            if f != dist
-        )
-
+    accept = _accepts(game.utilities, (dist,), exempt={dist})
     memberships = [
         [_membership_rows(p) for p in game.utilities[dist].primitives]
     ]

@@ -125,49 +125,41 @@ def comprehensive_hull(points) -> Primitive:
     """Exact half-space representation of conv(points) - R^n_+.
 
     The polyhedron is full-dimensional with recession cone the negative
-    orthant, so every facet normal is componentwise nonnegative.  Facets are
-    enumerated by their incident generators: a subset of the points plus a
-    subset of the dropped axes whose orthogonality system has a line of
-    solutions; candidates failing nonnegativity or validity are discarded.
+    orthant, so every facet normal is componentwise nonnegative.  A facet's
+    normal is the kernel of n - 1 independent rows: differences from its
+    first incident point (the anchor) to later incident points, and the
+    axes it contains.  So for each anchor every choice of n - 1 such rows
+    with a line of solutions is a candidate (a larger system of rank n - 1
+    has the kernel of one of these); candidates failing nonnegativity or
+    validity are discarded.
     """
-    from itertools import combinations
-
     from .linalg import nullspace
 
     pts = [vec(p) for p in points]
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points of mixed dimension")
+    axes = [tuple(ONE if k == j else ZERO for k in range(n)) for j in range(n)]
     seen = {}
-    for t_size in range(1, len(pts) + 1):
-        for t_idx in combinations(range(len(pts)), t_size):
-            anchor = pts[t_idx[0]]
-            rows = [
-                [pts[i][k] - anchor[k] for k in range(n)] for i in t_idx[1:]
-            ]
-            for j_size in range(0, n):
-                for axes in combinations(range(n), j_size):
-                    system = list(rows)
-                    for j in axes:
-                        e = [ZERO] * n
-                        e[j] = ONE
-                        system.append(e)
-                    if not system:
-                        continue
-                    kernel = nullspace(system)
-                    if len(kernel) != 1:
-                        continue
-                    normal = kernel[0]
-                    if all(c <= ZERO for c in normal):
-                        normal = tuple(-c for c in normal)
-                    if any(c < ZERO for c in normal) or all(c == ZERO for c in normal):
-                        continue
-                    offset = dot(normal, anchor)
-                    if any(dot(normal, p) > offset for p in pts):
-                        continue
-                    scale = sum(normal, ZERO)
-                    key = (tuple(c / scale for c in normal), offset / scale)
-                    seen[key] = HalfSpace(key[0], key[1])
+    for t, anchor in enumerate(pts):
+        diffs = [tuple(a - b for a, b in zip(p, anchor)) for p in pts[t + 1 :]]
+        for system in combinations(diffs + axes, n - 1):
+            if not system:
+                continue
+            kernel = nullspace(system)
+            if len(kernel) != 1:
+                continue
+            normal = kernel[0]
+            if all(c <= ZERO for c in normal):
+                normal = tuple(-c for c in normal)
+            if any(c < ZERO for c in normal) or all(c == ZERO for c in normal):
+                continue
+            offset = dot(normal, anchor)
+            if any(dot(normal, p) > offset for p in pts):
+                continue
+            scale = sum(normal, ZERO)
+            key = (tuple(c / scale for c in normal), offset / scale)
+            seen[key] = HalfSpace(key[0], key[1])
     if not seen:
         raise ValueError("no supporting half-spaces found")
     return Primitive(tuple(seen[k] for k in sorted(seen)))
@@ -181,36 +173,36 @@ def contains(cset: ComprehensiveSet, x) -> bool:
     return any(p.contains(x) for p in cset.primitives)
 
 
+def _uplifts(utilities, x) -> list:
+    """Every set's uplift at x, once each, after checking dimensions."""
+    x = vec(x)
+    utilities = tuple(utilities)
+    if not utilities:
+        raise ValueError("the uplift needs at least one utility set")
+    if any(u.dim != len(x) for u in utilities):
+        raise DimensionMismatch("point dimension does not match utilities")
+    return [u.uplift(x) for u in utilities]
+
+
 def tau(utilities, x) -> "Q":
     """Best uniform raise: max t with x + t*ones in the union of all sets.
 
     Closed form: max over primitives of min over half-spaces of
     (offset - <a,x>) / <a,ones>; finite because every gauge is positive.
     """
-    x = vec(x)
-    utilities = tuple(utilities)
-    if not utilities:
-        raise ValueError("tau needs at least one utility set")
-    for u in utilities:
-        if u.dim != len(x):
-            raise DimensionMismatch("point dimension does not match utilities")
-    return max(u.uplift(x) for u in utilities)
+    return max(_uplifts(utilities, x))
 
 
 def in_induced_cover(utilities, i: int, x) -> bool:
     """True iff set i attains the global uplift at x (x + tau(x)*ones in U_i)."""
-    utilities = tuple(utilities)
-    x = vec(x)
-    level = tau(utilities, x)
-    return utilities[i].uplift(x) == level
+    return i in cover_labels(utilities, x)
 
 
 def cover_labels(utilities, x) -> frozenset:
     """All indices whose set attains the uplift at x (never empty)."""
-    utilities = tuple(utilities)
-    x = vec(x)
-    best = max(u.uplift(x) for u in utilities)
-    return frozenset(i for i, u in enumerate(utilities) if u.uplift(x) == best)
+    ups = _uplifts(utilities, x)
+    best = max(ups)
+    return frozenset(i for i, t in enumerate(ups) if t == best)
 
 
 @dataclass(frozen=True)

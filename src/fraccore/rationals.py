@@ -1,17 +1,13 @@
 """Exact rational scalars and small vector helpers.
 
 Every quantity in this package (weights, utility levels, coordinates) is an
-exact rational.  ``Q`` is gmpy2's mpq when available (much faster) and falls
-back to the stdlib Fraction; both store lowest terms with positive
-denominator and interoperate with ints.
+exact rational.  ``Q`` is the stdlib Fraction: lowest terms, positive
+denominator, interoperates with ints.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q  # type: ignore[import-untyped]
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Q  # type: ignore[assignment]
+from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -43,27 +39,6 @@ def dot(a, b) -> "Q":
     for x, y in zip(a, b):
         total += x * y
     return total
-
-
-def vsum(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a) -> tuple:
-    c = rat(c)
-    return tuple(c * x for x in a)
-
-
-def rat_str(q) -> str:
-    """Serialize exactly: plain integer if integral, else "p/q"."""
-    q = rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def rat_json(q):

@@ -1,7 +1,7 @@
 """PL degree of labeled covers, rainbow detection, induced labelings.
 
 The chordal map of a vertex labeling sends vertex u to the firm vector of
-its (choice-reduced) label; its degree as a map to the sphere around the
+the lowest firm in its label; its degree as a map to the sphere around the
 resource is computed by exact signed ray crossing in affine-hull
 coordinates.  A facet whose labels already admit convex balancing weights
 means the chordal image hits the resource and no degree exists; that facet
@@ -58,10 +58,6 @@ class BalancedSimplexFound:
     facet: tuple
 
 
-def lowest_label(labels) -> int:
-    return min(labels)
-
-
 def _affine_coordinates(fs: FirmSystem, k: int):
     """Coordinates of v_i - r in a canonical basis of their span.
 
@@ -90,7 +86,7 @@ def _ray_candidates(k: int):
         s += 1
 
 
-def pl_degree(lc: LabeledCover, choice_rule=lowest_label):
+def pl_degree(lc: LabeledCover):
     """Exact degree of the label-induced chordal map, or a balanced facet.
 
     Needs a closed coherently oriented complex.  The crossing ray is chosen
@@ -106,7 +102,7 @@ def pl_degree(lc: LabeledCover, choice_rule=lowest_label):
         raise NotClosedManifold("orientation is not coherent")
     k = K.dim
     coords = _affine_coordinates(lc.firm_system, k)
-    chosen = [choice_rule(ls) for ls in lc.labels]
+    chosen = [min(ls) for ls in lc.labels]
     balanced = balance_test(lc.firm_system, "convex")
     for facet in K.facets:
         if balanced({chosen[u] for u in facet}):

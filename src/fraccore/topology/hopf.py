@@ -1,10 +1,16 @@
 """Hopf invariant of simplicial maps from oriented 3-spheres to the
 tetrahedron boundary, via exact simplicial cohomology.
 
-Pull back a generating 2-cocycle of the target sphere, write it as an
-integral coboundary (possible exactly when the second cohomology of the
-domain vanishes), cup the two and evaluate against the fundamental cycle.
-Alexander-Whitney front/back faces under the global vertex order.
+Pull back the duals of two different target triangles, alpha_1 of (1,2,3)
+and alpha_2 of (0,1,2) negated, write alpha_1 as an integral coboundary
+(possible exactly when the second cohomology of the domain vanishes), and
+evaluate beta_1 cup alpha_2 on the fundamental cycle, with Alexander-Whitney
+front/back faces under the global vertex order.  Cupping a cocycle with its
+own primitive instead would add the Steenrod term alpha cup_1 alpha, which
+does not vanish on a chain and makes the value depend on the vertex
+numbering.  The term alpha_1 cup_1 alpha_2 does vanish: no facet maps onto
+all four target vertices, so the nonzero faces of a facet all map to one
+triangle.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 from ..errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
 from .complexes import OrientedComplex, validate_closed_manifold
 from .intlinalg import integer_rank, smith_normal_form, solve_integer
-
-TARGET_TRIANGLE = (1, 2, 3)  # dual generator of the target sphere
 
 
 def _sorted_with_sign(tri):
@@ -26,17 +30,16 @@ def _sorted_with_sign(tri):
     return tuple(tri[i] for i in order), sign
 
 
-def pulled_back_cocycle(K, vertex_map):
+def _pullback(triangles, vertex_map, target):
     """f* of the dual of the target triangle, as a map triangle -> int."""
-    faces = K.all_faces()
     value = {}
-    for tri in sorted(faces[2]):
+    for tri in triangles:
         images = tuple(vertex_map[v] for v in tri)
         if len(set(images)) != 3:
             value[tri] = 0
             continue
         sorted_imgs, sign = _sorted_with_sign(images)
-        value[tri] = sign if sorted_imgs == TARGET_TRIANGLE else 0
+        value[tri] = sign if sorted_imgs == target else 0
     return value
 
 
@@ -92,10 +95,11 @@ def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
             raise NotSimplicial(
                 f"facet {facet} maps onto all four target vertices"
             )
-    alpha = pulled_back_cocycle(K, vertex_map)
     faces = K.all_faces()
     edges = sorted(faces[1])
     tris = sorted(faces[2])
+    alpha1 = _pullback(tris, vertex_map, (1, 2, 3))
+    alpha2 = _pullback(tris, vertex_map, (0, 1, 2))
     eid = {e: i for i, e in enumerate(edges)}
     rows = []
     rhs = []
@@ -106,18 +110,16 @@ def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
         row[eid[(a, c)]] -= 1
         row[eid[(a, b)]] += 1
         rows.append(row)
-        rhs.append(alpha[tri])
-    beta = solve_integer(rows, rhs)
-    if beta is None:
+        rhs.append(alpha1[tri])
+    beta1 = solve_integer(rows, rhs)
+    if beta1 is None:
         raise CoboundaryUnsolvable(
             "pullback cocycle is not an integral coboundary (H^2 != 0)"
         )
     total = 0
     for facet, sign in zip(K.facets, oc.orientation):
         w0, w1, w2, w3 = facet
-        front = alpha[(w0, w1, w2)]
-        if front == 0:
-            continue
-        back = beta[eid[(w2, w3)]]
-        total += sign * front * back
+        back = alpha2[(w1, w2, w3)]
+        if back:  # alpha_2 is the negated pullback
+            total -= sign * beta1[eid[(w0, w1)]] * back
     return total

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fraccore.cli import main
 from fraccore.formats import (
@@ -225,3 +228,198 @@ def test_shipped_files_roundtrip():
             assert serialize(tu_to_json(tu_from_json(obj))) == raw
         else:
             assert serialize(game_to_json(game_from_json(obj))) == raw
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 3 with a path, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def assert_malformed(capsys, argv, path):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed input: {path}")
+    assert "Traceback" not in captured.err
+
+
+def data_json(name):
+    return json.loads(resources.files("fraccore").joinpath(f"data/{name}").read_text())
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_balance_firm_system_not_an_object(capsys, tmp_path):
+    number = write_json(tmp_path, "number.json", 5)
+    assert_malformed(capsys, ["balance", "enumerate", "--input", number], "$")
+    other = ["--input", data_path("symmetric-s1.json"), "--other", number]
+    assert_malformed(capsys, ["balance", "equivalent", *other], "$")
+
+
+@pytest.mark.parametrize(
+    "region, path",
+    [
+        (["--vertices", "notjson"], "$.vertices"),
+        (["--vertices", "5"], "$.vertices"),
+        (["--vertices", '[[0, 0, 0], "x"]'], "$.vertices[1]"),
+        (["--vertices", "[[1, 2], [3, 4]]"], "$.vertices[0]"),
+        (["--vertices", "[]"], "$.vertices"),
+        (["--region", "cube", "--center", "[0, 0]"], "$.center"),
+        (["--region", "cube", "--center", "[0,0,0]", "--halfwidth", "abc"], "$.halfwidth"),
+        (["--region", "cube", "--center", "notjson"], "$.center"),
+        (["--region", "cube", "--center", "{}"], "$.center"),
+    ],
+)
+def test_induce_cover_malformed_region(capsys, region, path):
+    argv = ["induce-cover", data_path("example1-embedded.json"), *region]
+    assert_malformed(capsys, argv, path)
+
+
+@pytest.mark.parametrize(
+    "command, data, option",
+    [("frac-core", "example1-embedded.json", "verify"), ("tu-core", "example1.json", "check")],
+)
+def test_point_of_wrong_length(capsys, command, data, option):
+    argv = [command, data_path(data), f"--{option}-point", "[1, 2]"]
+    assert_malformed(capsys, argv, f"$.{option}_point")
+
+
+def test_player_count_must_be_positive(capsys):
+    assert main(["balance", "minimal", "--players", "0"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_firm_vector_of_wrong_length(capsys, tmp_path):
+    game = data_json("example2.json")
+    game["firms"][1] = [1, 0]
+    path = write_json(tmp_path, "game.json", game)
+    assert_malformed(capsys, ["frac-core", path], "$.firms[1]")
+    fs = write_json(tmp_path, "fs.json", {"firms": [[1, 0], [0]], "resource": [1, 1]})
+    assert_malformed(capsys, ["balance", "enumerate", "--input", fs], "$.firms[1]")
+
+
+def test_utilities_of_mixed_dimension(capsys, tmp_path):
+    game = data_json("example2.json")
+    for prim in game["utilities"][2]["primitives"]:
+        for h in prim["halfspaces"]:
+            h["a"] = h["a"] + [1]
+    path = write_json(tmp_path, "game.json", game)
+    assert_malformed(capsys, ["validate", path], "$.utilities[2]")
+
+
+@pytest.mark.parametrize("command", ["core", "game-balanced"])
+def test_distinguished_firm_required(capsys, command):
+    assert_malformed(capsys, [command, data_path("example2.json")], "$.distinguished")
+
+
+@pytest.mark.parametrize(
+    "command, data, field, value, path",
+    [
+        ("hopf", "sphere-asset.json", "facets", [[]], "$"),
+        ("hopf", "sphere-asset.json", "facets", [[0, True, 2, 5]], "$.facets"),
+        ("validate", "example2.json", "utilities", [], "$.utilities"),
+    ],
+)
+def test_malformed_field(capsys, tmp_path, command, data, field, value, path):
+    doc = data_json(data)
+    doc[field] = value
+    assert_malformed(capsys, [command, write_json(tmp_path, "doc.json", doc)], path)
+
+
+def test_hopf_needs_a_label_per_vertex(capsys, tmp_path):
+    sphere = data_json("sphere-asset.json")
+    sphere["labels"] = sphere["labels"][:-1]
+    assert_malformed(capsys, ["hopf", write_json(tmp_path, "s.json", sphere)], "$.labels")
+
+
+def _cover_doc():
+    from fraccore.gallery import two_bubble_cover
+
+    return cover_to_json(two_bubble_cover(1, 1))
+
+
+def _file_commands():
+    """(argv before the file, a valid document) for each file-reading command."""
+    game, tu = data_json("example2.json"), data_json("example1.json")
+    embedded, cover = data_json("example1-embedded.json"), _cover_doc()
+    fs = {"firms": game["firms"], "resource": game["resource"]}
+    other = ["balance", "equivalent", "--input", data_path("example2.json"), "--other"]
+    vertices = ["--vertices", "[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]"]
+    return [
+        (["validate"], game),
+        (["frac-core"], game),
+        (["core"], embedded),
+        (["game-balanced"], embedded),
+        (["induce-cover", *vertices, "--depth", "0"], game),
+        (["tu-core"], tu),
+        (["tu-balanced"], tu),
+        (["embed"], tu),
+        (["degree"], cover),
+        (["rainbow"], cover),
+        (["index-sum"], cover),
+        (["hopf"], data_json("sphere-asset.json")),
+        (["balance", "enumerate", "--input"], fs),
+        (other, fs),
+    ]
+
+
+FILE_COMMANDS = _file_commands()
+
+
+def _leaves(obj, path=()):
+    """Paths of the scalars below the top level of a document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
+        elif path:
+            yield (*path, key)
+
+
+def _not_rational(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4).filter(_not_rational),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def broken_documents(draw):
+    """A command and its valid document with one scalar replaced by junk,
+    or with the whole document replaced by a value that is not an object."""
+    argv, doc = draw(st.sampled_from(FILE_COMMANDS))
+    if draw(st.booleans()):
+        return argv, draw(JUNK.filter(lambda v: not isinstance(v, dict)))
+    doc = json.loads(json.dumps(doc))
+    *parents, last = draw(st.sampled_from(sorted(_leaves(doc), key=str)))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = draw(JUNK)
+    return argv, doc
+
+
+@given(broken_documents())
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_fuzzed_files_exit_3_without_traceback(capsys, tmp_path, case):
+    argv, doc = case
+    path = write_json(tmp_path, "doc.json", doc)
+    assert_malformed(capsys, [*argv, path], "$")

@@ -500,3 +500,90 @@ def test_witness_reads_the_weights_of_the_deciding_lp(monkeypatch):
         assert res.witness.active in solved
         assert len(solved) == len(set(solved))
         assert res.witness.weights == original(res.witness.active, game.firm_system)
+
+
+# ---------------------------------------------------------------------------
+# one LP per search node, against the two-LP reference search
+# ---------------------------------------------------------------------------
+
+
+def _count_search_lps(monkeypatch, solve):
+    """(LPs run, nodes spent) by one call of ``solve``, balance cache warm."""
+    from fraccore import exact_linear, frac_core
+
+    solve()  # warm the balancedness cache so that only search LPs remain
+    counts = {"lp": 0, "nodes": 0}
+    solve_standard = exact_linear._solve_standard
+    spend = frac_core._Budget.spend
+
+    def counting_solve(*args):
+        counts["lp"] += 1
+        return solve_standard(*args)
+
+    def counting_spend(self):
+        counts["nodes"] += 1
+        return spend(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(exact_linear, "_solve_standard", counting_solve)
+        m.setattr(frac_core._Budget, "spend", counting_spend)
+        solve()
+    return counts["lp"], counts["nodes"]
+
+
+def test_search_runs_one_lp_per_node(monkeypatch):
+    deep = 0
+    for game in _differential_games():
+        for solve in (
+            lambda: fractional_core_solve(game),
+            lambda: core_solve(game),
+        ):
+            lps, nodes = _count_search_lps(monkeypatch, solve)
+            assert lps == nodes
+            deep = max(deep, nodes)
+    assert deep > 1
+
+
+def _core_point_ok(game, x):
+    dist = game.distinguished
+    return contains(game.utilities[dist], x) and all(
+        u.uplift(x) <= 0 for f, u in enumerate(game.utilities) if f != dist
+    )
+
+
+def _reference_games():
+    games = _differential_games()
+    rng = random.Random(1312)
+    for _ in range(40):
+        game = _random_small_game(rng)
+        games.append(
+            GeneralizedGame(
+                game.utilities, game.firm_system, distinguished=rng.randrange(game.firm_count)
+            )
+        )
+    for _ in range(10):
+        games.append(embed_coalitional(_random_orthant_ntu(rng)))
+    s2 = symmetric_pairs_game_s2()
+    games.append(GeneralizedGame(s2.utilities, s2.firm_system, distinguished=1))
+    return games
+
+
+def test_one_lp_search_matches_two_lp_reference():
+    import reference_search as ref
+
+    kinds = set()
+    for game in _reference_games():
+        frac, want = fractional_core_solve(game), ref.fractional_core_solve(game)
+        assert type(frac) is type(want)
+        if isinstance(frac, Nonempty):
+            w = frac.witness
+            assert w.active == want.witness.active
+            ok, info = verify_fractional_core_point(game, w.point, active=w.active)
+            assert ok, info
+        core, want_core = core_solve(game), ref.core_solve(game)
+        assert type(core) is type(want_core)
+        if isinstance(core, CorePoint):
+            assert _core_point_ok(game, core.point)
+        kinds.add((type(frac).__name__, type(core).__name__))
+    assert {f for f, _ in kinds} == {"Nonempty", "Empty"}
+    assert {c for _, c in kinds} == {"CorePoint", "Empty"}

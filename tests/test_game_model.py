@@ -192,3 +192,102 @@ def test_monotonicity(fam, x, drop):
 def test_properness_always_holds_for_class():
     u = orthant_set((3, 3, 3), (0, 5, 1))
     assert u.is_proper()
+
+
+def test_cover_labels_evaluates_each_uplift_once(monkeypatch):
+    calls = []
+    uplift = ComprehensiveSet.uplift
+
+    def counting(self, x):
+        calls.append(self)
+        return uplift(self, x)
+
+    monkeypatch.setattr(ComprehensiveSet, "uplift", counting)
+    fam = [orthant_set((1, 0)), orthant_set((0, 1)), orthant_set((2, -1), (-1, 2))]
+    for x in [(0, 0), (1, 0), (-3, 5)]:
+        calls.clear()
+        labels = cover_labels(fam, x)
+        assert sorted(map(id, calls)) == sorted(map(id, fam))
+        for i in range(len(fam)):
+            calls.clear()
+            assert in_induced_cover(fam, i, x) == (i in labels)
+            assert len(calls) == len(fam)
+
+
+def test_cover_labels_dimension_check():
+    fam = [orthant_set((0, 0)), orthant_set((1, -1))]
+    for x in [(0, 0, 0), (0,)]:
+        with pytest.raises(DimensionMismatch):
+            cover_labels(fam, x)
+        with pytest.raises(DimensionMismatch):
+            in_induced_cover(fam, 0, x)
+
+
+def _reference_hull(points):
+    """comprehensive_hull trying every (point subset, axis subset) system."""
+    from itertools import combinations
+
+    from fraccore.linalg import nullspace
+    from fraccore.rationals import dot
+
+    pts = [vec(p) for p in points]
+    n = len(pts[0])
+    seen = {}
+    for t_size in range(1, len(pts) + 1):
+        for t_idx in combinations(range(len(pts)), t_size):
+            anchor = pts[t_idx[0]]
+            rows = [[pts[i][k] - anchor[k] for k in range(n)] for i in t_idx[1:]]
+            for j_size in range(0, n):
+                for axes in combinations(range(n), j_size):
+                    system = rows + [[Q(int(k == j)) for k in range(n)] for j in axes]
+                    if not system:
+                        continue
+                    kernel = nullspace(system)
+                    if len(kernel) != 1:
+                        continue
+                    normal = kernel[0]
+                    if all(c <= 0 for c in normal):
+                        normal = tuple(-c for c in normal)
+                    if any(c < 0 for c in normal) or all(c == 0 for c in normal):
+                        continue
+                    offset = dot(normal, anchor)
+                    if any(dot(normal, p) > offset for p in pts):
+                        continue
+                    scale = sum(normal, Q(0))
+                    key = (tuple(c / scale for c in normal), offset / scale)
+                    seen[key] = HalfSpace(key[0], key[1])
+    return tuple(seen[k] for k in sorted(seen))
+
+
+@st.composite
+def point_sets(draw):
+    dim = draw(st.integers(2, 4))
+    coords = st.integers(-3, 3) if dim == 4 else small_rats
+    point = st.lists(coords, min_size=dim, max_size=dim)
+    return draw(st.lists(point, min_size=1, max_size=4 if dim < 4 else 3))
+
+
+@given(point_sets())
+@settings(max_examples=150, deadline=None)
+def test_comprehensive_hull_matches_all_systems(points):
+    from fraccore.game_model import comprehensive_hull
+
+    want = _reference_hull(points)
+    if not want:
+        with pytest.raises(ValueError):
+            comprehensive_hull(points)
+    else:
+        assert comprehensive_hull(points).halfspaces == want
+
+
+def test_comprehensive_hull_needs_a_facet():
+    from fraccore.game_model import comprehensive_hull
+
+    with pytest.raises(ValueError):
+        comprehensive_hull([(3,)])
+    square = comprehensive_hull([(1, 0), (0, 1)])
+    assert {(h.normal, h.offset) for h in square.halfspaces} == {
+        ((Q(1), Q(0)), Q(1)),
+        ((Q(0), Q(1)), Q(1)),
+        ((Q(1, 2), Q(1, 2)), Q(1, 2)),
+    }
