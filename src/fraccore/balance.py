@@ -72,12 +72,7 @@ def _weights_system(members, fs: FirmSystem, convex: bool) -> LinearSystem:
         )
     if convex:
         eqs.append(((ONE,) * k, ONE))
-    nonneg = []
-    for j in range(k):
-        e = [ZERO] * k
-        e[j] = -ONE
-        nonneg.append((tuple(e), ZERO))
-    return LinearSystem(k, equalities=tuple(eqs), leq=tuple(nonneg))
+    return LinearSystem(k, equalities=tuple(eqs), nonneg=True)
 
 
 def _check_members(subset, fs: FirmSystem) -> tuple:

@@ -2,7 +2,9 @@
 
 Two-phase primal simplex with Bland's rule (lowest eligible index for both
 entering and leaving variables), which guarantees termination.  Variables
-are free; internally they are split into positive and negative parts.
+are free unless the system declares them all nonnegative (``nonneg``): free
+variables are split internally into positive and negative parts, declared
+ones enter the standard form as they are, one column each and no row.
 Strict inequalities are reduced to maximizing a uniform slack variable
 capped at 1, so no epsilon heuristics appear anywhere.
 
@@ -31,16 +33,18 @@ from .rationals import ONE, ZERO, Q, rat, vec
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A system over ``num_vars`` free rational variables.
+    """A system over ``num_vars`` rational variables.
 
     ``equalities`` rows mean <a,x> = b, ``leq`` rows <a,x> <= b and ``lt``
-    rows <a,x> < b.
+    rows <a,x> < b.  The variables are free, or all >= 0 when ``nonneg``
+    is true; a sign constraint declared this way costs no row.
     """
 
     num_vars: int
     equalities: tuple = ()
     leq: tuple = ()
     lt: tuple = ()
+    nonneg: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -50,6 +54,8 @@ class LinearSystem:
         object.__setattr__(self, "lt", tuple((vec(a), rat(b)) for a, b in self.lt))
         if self.num_vars < 0:
             raise MalformedSystem("negative variable count")
+        if type(self.nonneg) is not bool:
+            raise MalformedSystem(f"nonneg must be a bool, not {self.nonneg!r}")
         for a, _ in self.equalities + self.leq + self.lt:
             if len(a) != self.num_vars:
                 raise MalformedSystem(
@@ -190,15 +196,15 @@ def _solve_standard(a_rows, b, c):
 
 
 # ---------------------------------------------------------------------------
-# public operations over free-variable systems
+# public operations over free or nonnegative variables
 # ---------------------------------------------------------------------------
 
 
-def _standard_form(objective, equalities, leqs):
-    """Split x into u - w, add one slack per inequality and clear
-    denominators: all rows by one common scale, the objective by its own.
-    Returns integer rows, right-hand sides, objective and the objective's
-    scale."""
+def _standard_form(objective, equalities, leqs, nonneg):
+    """Split x into u - w unless ``nonneg``, add one slack per inequality
+    and clear denominators: all rows by one common scale, the objective by
+    its own.  Returns integer rows, right-hand sides, objective and the
+    objective's scale."""
     rows = equalities + leqs
     width = len(objective) + 1
     flat, scale = _clear_denominators([x for a, rhs in rows for x in (*a, rhs)])
@@ -212,12 +218,16 @@ def _standard_form(objective, equalities, leqs):
         srow = [0] * nslack
         if k >= neq:
             srow[k - neq] = scale
-        a_rows.append(ints + [-x for x in ints] + srow)
+        a_rows.append(ints + srow if nonneg else ints + [-x for x in ints] + srow)
     c, cscale = _clear_denominators(objective)
-    return a_rows, b, c + [-x for x in c] + [0] * nslack, cscale
+    if not nonneg:
+        c += [-x for x in c]
+    return a_rows, b, c + [0] * nslack, cscale
 
 
-def _recover(y, det, n):
+def _recover(y, det, n, nonneg):
+    if nonneg:
+        return tuple(Q(y[j], det) for j in range(n))
     return tuple(Q(y[j] - y[n + j], det) for j in range(n))
 
 
@@ -233,16 +243,16 @@ def maximize(objective, sys: LinearSystem):
             b == ZERO for _, b in sys.equalities
         )
         return Optimal(ZERO, ()) if ok else Infeasible()
-    a_rows, b, c, cscale = _standard_form(objective, sys.equalities, sys.leq)
+    n, nonneg = sys.num_vars, sys.nonneg
+    a_rows, b, c, cscale = _standard_form(objective, sys.equalities, sys.leq, nonneg)
     res = _solve_standard(a_rows, b, c)
-    n = sys.num_vars
     if res[0] == "infeasible":
         return Infeasible()
     if res[0] == "unbounded":
         _, y, ray, det = res
-        return Unbounded(_recover(y, det, n), _recover(ray, det, n))
+        return Unbounded(_recover(y, det, n, nonneg), _recover(ray, det, n, nonneg))
     _, value, y, det = res
-    return Optimal(Q(value, det * cscale), _recover(y, det, n))
+    return Optimal(Q(value, det * cscale), _recover(y, det, n, nonneg))
 
 
 def solve_feasibility(sys: LinearSystem):
@@ -250,7 +260,9 @@ def solve_feasibility(sys: LinearSystem):
 
     With strict rows present, maximizes a uniform slack s (capped at 1) over
     <a,x> + s <= b; the system has a rational solution iff the optimum is
-    positive.
+    positive.  A ``nonneg`` system keeps its sign constraint, which then
+    holds for s too; that cuts off only points with s < 0, which decide
+    nothing.
     """
     if not sys.lt:
         res = maximize([ZERO] * sys.num_vars, sys)
@@ -262,7 +274,7 @@ def solve_feasibility(sys: LinearSystem):
     leqs = [(tuple(a) + (ZERO,), b) for a, b in sys.leq]
     leqs += [(tuple(a) + (ONE,), b) for a, b in sys.lt]
     leqs.append(((ZERO,) * n + (ONE,), ONE))
-    relaxed = LinearSystem(n + 1, eqs, tuple(leqs))
+    relaxed = LinearSystem(n + 1, eqs, tuple(leqs), nonneg=sys.nonneg)
     res = maximize([ZERO] * n + [ONE], relaxed)
     if isinstance(res, Infeasible) or res.value <= ZERO:
         return Infeasible()

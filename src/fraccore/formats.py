@@ -54,6 +54,15 @@ def _ints(values, path):
     raise MalformedInput(f"{path}: expected a list of integers")
 
 
+def _count(obj, key):
+    """The positive JSON integer at ``obj[key]``; floats, strings and
+    booleans are not integers."""
+    value = obj[key]
+    if type(value) is not int or value < 1:
+        raise MalformedInput(f"$.{key}: not a positive integer: {value!r}")
+    return value
+
+
 def _int_lists(rows, path):
     if (
         isinstance(rows, list)
@@ -152,7 +161,7 @@ def game_from_json(obj) -> GeneralizedGame:
         ):
             raise MalformedInput(f"$.distinguished: not a firm index: {distinguished!r}")
         game = GeneralizedGame(tuple(utilities), fs, distinguished=distinguished)
-        if "dimension" in obj and int(obj["dimension"]) != game.dim:
+        if "dimension" in obj and _count(obj, "dimension") != game.dim:
             raise MalformedInput(
                 f"$.dimension: {obj['dimension']} but half-spaces have {game.dim}"
             )
@@ -169,7 +178,7 @@ def tu_to_json(game: TUGame) -> dict:
 
 def tu_from_json(obj) -> TUGame:
     with _reading():
-        n = int(_object(obj)["n"])
+        n = _count(_object(obj), "n")
         values = {}
         for key, v in obj["values"].items():
             coal = tuple(int(s) - 1 for s in key.split(","))
@@ -191,7 +200,7 @@ def cover_to_json(lc: LabeledCover) -> dict:
 
 def _complex(obj):
     facets = _int_lists(_object(obj)["facets"], "$.facets")
-    return SimplicialComplex(int(obj["vertices"]), facets)
+    return SimplicialComplex(_count(obj, "vertices"), facets)
 
 
 def _labels(labels):

@@ -236,13 +236,8 @@ class FirmSystem:
         eqs = []
         for k in range(d):
             eqs.append((tuple(self.firms[i][k] for i in range(m)), self.resource[k]))
-        nonneg = []
-        for i in range(m):
-            e = [ZERO] * m
-            e[i] = -ONE
-            nonneg.append((tuple(e), ZERO))
         return isinstance(
-            solve_feasibility(LinearSystem(m, equalities=tuple(eqs), leq=tuple(nonneg))),
+            solve_feasibility(LinearSystem(m, equalities=tuple(eqs), nonneg=True)),
             Feasible,
         )
 
@@ -400,12 +395,7 @@ class CoalitionalNTUGame:
             k = len(coal)
             for p in cs.primitives:
                 rows = [(h.normal, h.offset) for h in p.halfspaces]
-                nonneg = []
-                for j in range(k):
-                    e = [ZERO] * k
-                    e[j] = -ONE
-                    nonneg.append((tuple(e), ZERO))
-                sys = LinearSystem(k, leq=tuple(rows) + tuple(nonneg))
+                sys = LinearSystem(k, leq=tuple(rows), nonneg=True)
                 for j in range(k):
                     obj = [ZERO] * k
                     obj[j] = ONE

@@ -79,12 +79,7 @@ def is_balanced_tu(game: TUGame):
     eqs = []
     for player in range(n):
         eqs.append((tuple(ONE if player in c else ZERO for c in coals), ONE))
-    nonneg = []
-    for j in range(m):
-        e = [ZERO] * m
-        e[j] = -ONE
-        nonneg.append((tuple(e), ZERO))
-    sys = LinearSystem(m, equalities=tuple(eqs), leq=tuple(nonneg))
+    sys = LinearSystem(m, equalities=tuple(eqs), nonneg=True)
     objective = [game.value(c) for c in coals]
     res = maximize(objective, sys)
     assert isinstance(res, Optimal), "balancing polytope is nonempty and bounded"

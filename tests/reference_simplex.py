@@ -3,7 +3,11 @@
 Test-only.  This is the straightforward rational tableau that
 ``fraccore.exact_linear`` replaced with its fraction-free integer kernel;
 both use Bland's rule on the same standard form, so they must return the
-same result kind, value, witness and ray on every system.
+same result kind, value, witness and ray on every system without
+``nonneg``.  A ``nonneg`` declaration is read here as its explicit rows
+-e_j.x <= 0 over free variables (``explicit_rows``): the same feasible
+set, but another standard form, so only result kinds and optimum values
+are comparable.
 """
 
 from __future__ import annotations
@@ -123,8 +127,20 @@ def _recover(y, n):
     return tuple(y[j] - y[n + j] for j in range(n))
 
 
+def explicit_rows(sys: LinearSystem) -> LinearSystem:
+    """The free-variable system stating ``sys.nonneg`` as rows -e_j.x <= 0."""
+    if not sys.nonneg:
+        return sys
+    n = sys.num_vars
+    signs = tuple(
+        (tuple(-ONE if k == j else ZERO for k in range(n)), ZERO) for j in range(n)
+    )
+    return LinearSystem(n, sys.equalities, sys.leq + signs, sys.lt)
+
+
 def reference_maximize(objective, sys: LinearSystem):
     objective = vec(objective)
+    sys = explicit_rows(sys)
     if sys.num_vars == 0:
         ok = all(b >= ZERO for _, b in sys.leq) and all(
             b == ZERO for _, b in sys.equalities
@@ -140,6 +156,7 @@ def reference_maximize(objective, sys: LinearSystem):
 
 
 def reference_solve_feasibility(sys: LinearSystem):
+    sys = explicit_rows(sys)
     if not sys.lt:
         res = reference_maximize([ZERO] * sys.num_vars, sys)
         if isinstance(res, Infeasible):

@@ -398,20 +398,32 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
 
+# top-level counts: a positive JSON integer and nothing else, not even the
+# same number as a float or a numeral
+COUNT_FIELDS = ("n", "vertices", "dimension")
+COUNT_JUNK = st.one_of(
+    JUNK,
+    st.integers(max_value=0),
+    st.integers(1, 20).map(float),
+    st.integers(1, 20).map(str),
+)
+
 
 @st.composite
 def broken_documents(draw):
-    """A command and its valid document with one scalar replaced by junk,
-    or with the whole document replaced by a value that is not an object."""
+    """A command and its valid document with one scalar or count replaced by
+    junk, or with the whole document replaced by a value that is not an
+    object."""
     argv, doc = draw(st.sampled_from(FILE_COMMANDS))
     if draw(st.booleans()):
         return argv, draw(JUNK.filter(lambda v: not isinstance(v, dict)))
     doc = json.loads(json.dumps(doc))
-    *parents, last = draw(st.sampled_from(sorted(_leaves(doc), key=str)))
+    counts = [(key,) for key in COUNT_FIELDS if key in doc]
+    *parents, last = draw(st.sampled_from(sorted(_leaves(doc), key=str) + counts))
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = draw(JUNK)
+    target[last] = draw(JUNK if parents else COUNT_JUNK)
     return argv, doc
 
 
@@ -423,3 +435,17 @@ def test_fuzzed_files_exit_3_without_traceback(capsys, tmp_path, case):
     argv, doc = case
     path = write_json(tmp_path, "doc.json", doc)
     assert_malformed(capsys, [*argv, path], "$")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["tu-core"], "n"), (["hopf"], "vertices"), (["degree"], "vertices"), (["validate"], "dimension")],
+)
+@pytest.mark.parametrize(
+    "junk", [lambda c: c + 0.9, float, str, lambda c: True, lambda c: 0, lambda c: -c]
+)
+def test_count_must_be_a_positive_json_integer(capsys, tmp_path, argv, field, junk):
+    # int() would read c + 0.9, float(c) and str(c) as the count c
+    doc = json.loads(json.dumps(next(d for a, d in FILE_COMMANDS if a == argv)))
+    doc[field] = junk(doc[field])
+    assert_malformed(capsys, [*argv, write_json(tmp_path, "doc.json", doc)], f"$.{field}")

@@ -1,6 +1,10 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from relabel import relabel
 
 from fraccore.errors import DimensionMismatch, NotClosedManifold
 from fraccore.frac_core import embed_coalitional
@@ -197,6 +201,7 @@ def test_closed_star_cover_labels():
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _fixture_covers():
     from fraccore.gallery import single_bubble_cover, two_bubble_cover
     from fraccore.topology.s3_12 import load
@@ -224,7 +229,7 @@ def _fixture_covers():
     covers += [two_bubble_cover(1, -1), single_bubble_cover(1)]
     sphere, coloring = load()
     covers.append(closed_star_cover(sphere, coloring, unit_firms(4)))
-    return covers
+    return tuple(covers)
 
 
 def _per_facet(lc, fn, label_sets):
@@ -264,3 +269,40 @@ def test_topology_balancedness_matches_per_facet_lps():
             assert isinstance(res, Degree)
             degrees += 1
     assert degrees >= 3
+
+
+# ---------------------------------------------------------------------------
+# invariance under relabelling the vertices
+# ---------------------------------------------------------------------------
+
+
+def relabel_cover(lc, perm):
+    oc, labels = relabel(lc.oriented, lc.labels, perm)
+    return LabeledCover(oc, labels, lc.firm_system)
+
+
+def _degree_or_error(lc):
+    try:
+        return pl_degree(lc)
+    except (DimensionMismatch, NotClosedManifold) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("index", range(len(_fixture_covers())))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_pl_degree_invariant_under_relabelling(index, data):
+    from fraccore.balance import balance_test
+
+    lc = _fixture_covers()[index]
+    perm = data.draw(st.permutations(range(lc.oriented.complex.num_vertices)))
+    before, after = _degree_or_error(lc), _degree_or_error(relabel_cover(lc, perm))
+    if isinstance(before, BalancedSimplexFound):
+        # the first balanced facet in the new vertex order may be another one
+        assert isinstance(after, BalancedSimplexFound)
+        preimage = sorted(perm.index(w) for w in after.facet)
+        assert tuple(preimage) in lc.oriented.complex.facets
+        chosen = {min(lc.labels[u]) for u in preimage}
+        assert balance_test(lc.firm_system, "convex")(chosen)
+    else:
+        assert after == before

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_simplex import reference_maximize, reference_solve_feasibility
+from reference_simplex import explicit_rows, reference_maximize, reference_solve_feasibility
 
 from fraccore import exact_linear
 from fraccore.errors import MalformedSystem
@@ -223,11 +223,11 @@ right_hand_sides = st.one_of(st.just(rat(0)), coefficients)
 
 
 @st.composite
-def random_systems(draw):
+def random_systems(draw, min_vars=1):
     """Systems with non-integer coefficients, right-hand sides of either
     sign, possibly duplicated equality rows and strict rows, plus an
     objective (often unbounded: nothing bounds the variables)."""
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=min_vars, max_value=3))
     row = st.tuples(
         st.lists(coefficients, min_size=n, max_size=n).map(tuple), right_hand_sides
     )
@@ -312,3 +312,100 @@ def test_results_are_rationals():
     assert ray == Unbounded((Q(0), Q(1)), (Q(1), Q(0)))
     for res in (opt, feas, strict, ray):
         assert all(type(x) is Q for x in _scalars(res))
+
+
+# ---------------------------------------------------------------------------
+# nonnegative variables: one column each, no row
+# ---------------------------------------------------------------------------
+
+
+def _check_nonneg_result(objective, sys, res, ref):
+    """``res`` solves the ``nonneg`` system ``sys``; ``ref`` is the reference
+    result, which reads the declaration as explicit rows.  The standard
+    forms differ, so witnesses may too; kinds, optimum values and every row
+    must agree."""
+    assert type(res) is type(ref)
+    assert all(type(x) is Q for x in _scalars(res))
+    if isinstance(res, Infeasible):
+        return
+    _check_feasible(sys, res.witness)
+    assert all(x >= 0 for x in res.witness)
+    if isinstance(res, Optimal):
+        assert res.value == ref.value == dot(objective, res.witness)
+    if isinstance(res, Unbounded):
+        ray = res.ray
+        assert all(x >= 0 for x in ray)
+        assert dot(objective, ray) > 0
+        assert all(dot(a, ray) == 0 for a, _ in sys.equalities)
+        assert all(dot(a, ray) <= 0 for a, _ in sys.leq)
+
+
+@given(random_systems(min_vars=0))
+@settings(max_examples=200, deadline=None)
+def test_nonneg_maximize_matches_explicit_rows(data):
+    objective, n, eqs, leq, _ = data
+    sys = LinearSystem(n, equalities=eqs, leq=leq, nonneg=True)
+    ref = reference_maximize(objective, sys)
+    _check_nonneg_result(objective, sys, maximize(objective, sys), ref)
+
+
+@given(random_systems(min_vars=0))
+@settings(max_examples=200, deadline=None)
+def test_nonneg_feasibility_matches_explicit_rows(data):
+    _, n, eqs, leq, lt = data
+    sys = LinearSystem(n, equalities=eqs, leq=leq, lt=lt, nonneg=True)
+    ref = reference_solve_feasibility(sys)
+    _check_nonneg_result((), sys, solve_feasibility(sys), ref)
+
+
+@pytest.mark.parametrize(
+    "objective, sys, kind",
+    [
+        # x + 2y <= 4, x <= 3: the unique optimum (3, 1/2)
+        ((1, 1), LinearSystem(2, leq=[((1, 2), 4), ((1, 0), 3)], nonneg=True), Optimal),
+        # x <= -1 holds only for free x
+        ((-1,), LinearSystem(1, leq=[((1,), -1)], nonneg=True), Infeasible),
+        # x - y <= 1 leaves x unbounded along a nonnegative ray
+        ((1, 0), LinearSystem(2, leq=[((1, -1), 1)], nonneg=True), Unbounded),
+        ((), LinearSystem(0, leq=[((), 1)], nonneg=True), Optimal),
+        ((), LinearSystem(0, leq=[((), -1)], nonneg=True), Infeasible),
+    ],
+)
+def test_nonneg_maximize_cases(objective, sys, kind):
+    res = maximize(objective, sys)
+    assert isinstance(res, kind)
+    _check_nonneg_result(objective, sys, res, reference_maximize(objective, sys))
+
+
+@pytest.mark.parametrize(
+    "sys, kind",
+    [
+        (LinearSystem(1, lt=[((1,), 0)], nonneg=True), Infeasible),  # x < 0
+        (LinearSystem(1, lt=[((-1,), 0)], nonneg=True), Feasible),  # x > 0
+        (LinearSystem(2, equalities=[((1, 1), 1)], lt=[((-1, 1), 0)], nonneg=True), Feasible),
+        (LinearSystem(0, lt=[((), 0)], nonneg=True), Infeasible),
+        (LinearSystem(0, lt=[((), 1)], nonneg=True), Feasible),
+    ],
+)
+def test_nonneg_strict_cases(sys, kind):
+    res = solve_feasibility(sys)
+    assert isinstance(res, kind)
+    _check_nonneg_result((), sys, res, reference_solve_feasibility(sys))
+
+
+@pytest.mark.parametrize("flag", [1, 0, "yes", None, (0,)])
+def test_nonneg_must_be_a_bool(flag):
+    with pytest.raises(MalformedSystem):
+        LinearSystem(1, nonneg=flag)
+
+
+def test_nonneg_costs_no_row_or_column(monkeypatch):
+    # one column per variable plus one slack per inequality row, where the
+    # explicit rows -e_j.x <= 0 would add a row, a slack and a split each
+    shapes = []
+    _record(monkeypatch, "_solve_standard", shapes, lambda a, b, c: (len(a), len(c)))
+    equalities = [((1, 1, 0), 1)]
+    leq = [((0, 1, 1), 2)]
+    maximize((1, 0, 0), LinearSystem(3, equalities, leq, nonneg=True))
+    maximize((1, 0, 0), explicit_rows(LinearSystem(3, equalities, leq, nonneg=True)))
+    assert shapes == [(2, 4), (5, 10)]

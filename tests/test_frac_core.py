@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fraccore import tu_solver
 from fraccore.errors import CapExceeded
 from fraccore.frac_core import (
     BalancedGame,
@@ -587,3 +590,76 @@ def test_one_lp_search_matches_two_lp_reference():
         kinds.add((type(frac).__name__, type(core).__name__))
     assert {f for f, _ in kinds} == {"Nonempty", "Empty"}
     assert {c for _, c in kinds} == {"CorePoint", "Empty"}
+
+
+# ---------------------------------------------------------------------------
+# Scarf: balanced games have core points
+# ---------------------------------------------------------------------------
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_balanced_game_with_fractional_core_has_core_point(rng):
+    # Scarf's step from the fractional core to the core: a fractional-core
+    # point lies in every set of a balanced firm subset, hence in the
+    # distinguished set when the game is balanced, and it blocks nowhere
+    game = _random_small_game(rng)
+    singles = [i for i, u in enumerate(game.utilities) if len(u.primitives) == 1]
+    assume(singles)
+    game = GeneralizedGame(game.utilities, game.firm_system, distinguished=rng.choice(singles))
+    assume(isinstance(is_balanced_game(game), BalancedGame))
+    frac = fractional_core_solve(game)
+    if isinstance(frac, Nonempty):
+        assert _core_point_ok(game, frac.witness.point)
+        assert isinstance(core_solve(game), CorePoint)
+
+
+def test_balanced_game_without_fractional_core_may_have_no_core():
+    # the premise above is needed for arbitrary firm systems: {0, 1} is the
+    # only balanced subset and contains the distinguished firm, so the game
+    # is balanced, but V_0 lies inside the interior of V_1
+    fs = FirmSystem(firms=[(1, 0), (0, 1)], resource=(1, 1))
+    utilities = (
+        ComprehensiveSet((point_orthant((0, 0)),)),
+        ComprehensiveSet((point_orthant((1, 1)),)),
+    )
+    game = GeneralizedGame(utilities, fs, distinguished=0)
+    assert is_balanced_game(game) == BalancedGame()
+    assert fractional_core_solve(game) == Empty()
+    assert core_solve(game) == Empty()
+
+
+def _random_tu_game(rng):
+    """Integer values in [-5, 5]; every other game is built around a core
+    point x (v(S) <= x(S), with equality for the grand coalition)."""
+    n = rng.randint(2, 3)
+    if rng.random() < 0.5:
+        return TUGame(n, {c: rng.randint(-5, 5) for c in coalitions(n)})
+    x = [rng.randint(-3, 3) for _ in range(n)]
+    values = {c: sum(x[i] for i in c) - rng.randint(0, 2) for c in coalitions(n)}
+    values[tuple(range(n))] = sum(x)
+    return TUGame(n, values)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_scarf_on_embedded_tu_games(rng):
+    # Bondareva-Shapley on both sides of the embedding
+    tu = _random_tu_game(rng)
+    game = embed_coalitional(tu)
+    balanced = isinstance(is_balanced_game(game), BalancedGame)
+    assert balanced == isinstance(tu_solver.is_balanced_tu(tu), tu_solver.Balanced)
+    assert isinstance(core_solve(game), CorePoint) == balanced
+    assert isinstance(tu_solver.core_nonempty(tu), tu_solver.CorePoint) == balanced
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_scarf_on_embedded_ntu_games(rng):
+    # classical Scarf: every embedded NTU game has a fractional core, so a
+    # balanced one has a core point
+    game = embed_coalitional(_random_orthant_ntu(rng))
+    if isinstance(is_balanced_game(game), BalancedGame):
+        core = core_solve(game)
+        assert isinstance(core, CorePoint)
+        assert _core_point_ok(game, core.point)

@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_fibered import product_bundle_complex, sphere_complex
+from relabel import relabel
 from fraccore.errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
 from fraccore.topology.complexes import (
-    OrientedComplex,
-    SimplicialComplex,
     propagate_orientation,
     simplex_boundary,
     validate_closed_manifold,
@@ -103,35 +102,11 @@ def test_product_bundle_has_unsolvable_coboundary():
 # ---------------------------------------------------------------------------
 
 
-def _permutation_sign(seq):
-    sign = 1
-    for i, a in enumerate(seq):
-        for b in seq[i + 1 :]:
-            if a > b:
-                sign = -sign
-    return sign
-
-
-def _relabel(oc, coloring, perm):
-    """The oriented complex and coloring with vertex v renumbered perm[v]:
-    each facet keeps its orientation, so its sign picks up the parity of
-    the sort that puts its new vertex numbers in order."""
-    signs = {}
-    for facet, sign in zip(oc.facets, oc.orientation):
-        image = [perm[v] for v in facet]
-        signs[tuple(sorted(image))] = sign * _permutation_sign(image)
-    K = SimplicialComplex(oc.complex.num_vertices, tuple(signs))
-    colors = [0] * len(coloring)
-    for v, c in enumerate(coloring):
-        colors[perm[v]] = c
-    return OrientedComplex(K, tuple(signs[f] for f in K.facets)), colors
-
-
 @given(st.permutations(range(12)))
 @settings(max_examples=40, deadline=None)
 def test_invariant_under_relabelling(perm):
     oc, coloring = load()
-    relabelled, colors = _relabel(oc, coloring, perm)
+    relabelled, colors = relabel(oc, coloring, perm)
     assert relabelled.coherent()
     assert hopf_invariant(relabelled, colors) == hopf_invariant(oc, coloring) == 1
 
@@ -139,7 +114,7 @@ def test_invariant_under_relabelling(perm):
 @given(st.permutations(range(12)))
 @settings(max_examples=20, deadline=None)
 def test_reversal_negates_relabelled_invariant(perm):
-    relabelled, colors = _relabel(*load(), perm)
+    relabelled, colors = relabel(*load(), perm)
     assert hopf_invariant(relabelled.reversed(), colors) == -hopf_invariant(
         relabelled, colors
     )
@@ -150,5 +125,5 @@ def test_reversal_negates_relabelled_invariant(perm):
 def test_mirror_invariant_under_relabelling(perm):
     K, coloring = sphere_complex(flip=True)
     oc = propagate_orientation(K)
-    relabelled, colors = _relabel(oc, coloring, perm)
+    relabelled, colors = relabel(oc, coloring, perm)
     assert hopf_invariant(relabelled, colors) == hopf_invariant(oc, coloring)

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from relabel import relabel
 
 from fraccore.errors import BoundaryTouchesBalanced, NotIsolated
 from fraccore.gallery import single_bubble_cover, two_bubble_cover
 from fraccore.game_model import FirmSystem
 from fraccore.topology.complexes import OrientedComplex, SimplicialComplex, propagate_orientation
-from fraccore.topology.degree import Degree, LabeledCover
+from fraccore.topology.degree import BalancedSimplexFound, Degree, LabeledCover
 from fraccore.topology.index import (
     balanced_components,
     component_index,
@@ -92,3 +95,41 @@ def test_boundary_touching_component_raises():
     assert comps
     with pytest.raises(BoundaryTouchesBalanced):
         component_index(lc, comps[0])
+
+
+# ---------------------------------------------------------------------------
+# invariance under relabelling the vertices
+# ---------------------------------------------------------------------------
+
+
+def _index_covers():
+    covers = [single_bubble_cover(sign) for sign in (1, -1)]
+    covers += [two_bubble_cover(a, b) for a, b in ((1, 1), (1, -1), (-1, -1))]
+    covers += [_two_ring_cover(frozenset({0, 1, 2})), _two_ring_cover(frozenset({0}))]
+    return covers
+
+
+def _by_facet(lc, report):
+    """The report with facet indices replaced by the facets themselves."""
+    facets = lc.oriented.complex.facets
+    boundary = report.boundary_degree
+    if isinstance(boundary, BalancedSimplexFound):
+        boundary = BalancedSimplexFound
+    components = {frozenset(facets[i] for i in c): ix for c, ix in report.components}
+    return boundary, components, report.sum_matches
+
+
+@pytest.mark.parametrize("index", range(len(_index_covers())))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_index_sum_invariant_under_relabelling(index, data):
+    lc = _index_covers()[index]
+    perm = data.draw(st.permutations(range(lc.oriented.complex.num_vertices)))
+    oc, labels = relabel(lc.oriented, lc.labels, perm)
+    moved = LabeledCover(oc, labels, lc.firm_system)
+    boundary, components, matches = _by_facet(lc, index_sum_check(lc))
+    images = {
+        frozenset(tuple(sorted(perm[v] for v in f)) for f in comp): ix
+        for comp, ix in components.items()
+    }
+    assert _by_facet(moved, index_sum_check(moved)) == (boundary, images, matches)

@@ -1,5 +1,6 @@
 import random
 
+from fraccore import exact_linear
 from fraccore.game_model import TUGame, coalitions
 from fraccore.gallery import loss_sharing_tu, loss_sharing_tu_modified
 from fraccore.rationals import Q
@@ -95,3 +96,19 @@ def test_every_core_point_reverifies():
         res = core_nonempty(game)
         if isinstance(res, CorePoint):
             assert check_core_point(game, res.allocation) == Accept()
+
+
+def test_balancing_lp_declares_nonnegative_weights(monkeypatch):
+    # n = 5: one equality row per player and one column per coalition;
+    # written as rows -e_j.w <= 0 the weights made it 36 rows x 93 columns
+    shapes = []
+    inner = exact_linear._solve_standard
+
+    def spy(a_rows, b, c):
+        shapes.append((len(a_rows), len(c)))
+        return inner(a_rows, b, c)
+
+    monkeypatch.setattr(exact_linear, "_solve_standard", spy)
+    game = _random_tu(random.Random(5), 5)
+    is_balanced_tu(game)
+    assert shapes == [(5, 31)]
