@@ -25,14 +25,6 @@ class CountMismatch(FraccoreError):
     """Two firm systems compared index-wise must have the same firm count."""
 
 
-class OverlapAmbiguity(FraccoreError):
-    """Interior-of-union exceeded union-of-interiors during a core check.
-
-    Unreachable for comprehensive primitives with nonnegative normals; kept
-    as a defensive signal around the final witness re-verification.
-    """
-
-
 class NotClosedManifold(FraccoreError):
     """The complex is not a closed pseudomanifold of the expected kind."""
 

@@ -8,6 +8,7 @@ trailing newline) so parse/serialize round-trips are byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from itertools import chain
 
@@ -176,13 +177,23 @@ def tu_to_json(game: TUGame) -> dict:
     return {"schema": "fraccore.tu/1", "n": game.n, "values": values}
 
 
+_COALITION = re.compile("[1-9][0-9]*(,[1-9][0-9]*)*")
+
+
 def tu_from_json(obj) -> TUGame:
+    """A ``values`` key names a new coalition: comma-separated canonical
+    player numbers in 1..n, none repeated, in any order."""
     with _reading():
         n = _count(_object(obj), "n")
         values = {}
         for key, v in obj["values"].items():
-            coal = tuple(int(s) - 1 for s in key.split(","))
-            values[coal] = _num(v, f"$.values[{key!r}]")
+            path = f"$.values[{key!r}]"
+            coal = ()
+            if _COALITION.fullmatch(key):
+                coal = tuple(sorted({int(s) - 1 for s in key.split(",")}))
+            if len(coal) != key.count(",") + 1 or coal[-1] >= n or coal in values:
+                raise MalformedInput(f"{path}: not a new coalition of players 1..{n}")
+            values[coal] = _num(v, path)
         return TUGame(n, values)
 
 

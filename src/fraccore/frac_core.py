@@ -5,14 +5,15 @@ A point belongs to the fractional core exactly when it lies in every utility
 set of some balanced firm set and escapes the interior of every utility set.
 For this representation class a point escapes an interior iff the set's
 uplift there is <= 0, so the fractional core is a finite union of
-polyhedra: pick one primitive per active firm (membership) and one reversed
-half-space per primitive anywhere (escape).  The solver explores exactly
-that certificate space depth-first with one LP per node: it maximizes the
-total payoff over the node's rows, prunes when they are infeasible, and
-otherwise tests the LP's point against the definition directly, which
-short-circuits most nonempty instances long before the tree is exhausted.
-The test is one pass over the firms' uplifts at the point: an uplift above
-0 blocks, and an unblocked point lies in a set exactly when its uplift is 0.
+polyhedra: membership in one primitive per active firm and one reversed
+half-space per primitive anywhere.  The solver branches only on the
+condition its current point violates (Balas's disjunctive programming):
+each search node maximizes the total payoff over its rows with one LP,
+prunes when they are infeasible, and otherwise makes one pass over the
+firms' uplifts at the LP's point.  The first blocking primitive (uplift
+above 0) or member missing the point (uplift below 0) gives the children;
+a point with neither is a witness.  A core is searched the same way, with
+the distinguished firm as the only member.
 
 Everything is deterministic: subsets in (size, lex) order, primitives and
 half-spaces in construction order.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .balance import balance_test, minimal_balanced_subsets
-from .errors import CapExceeded, OverlapAmbiguity
+from .errors import CapExceeded
 from .exact_linear import Infeasible, LinearSystem, Optimal, maximize
 from .game_model import (
     CoalitionalNTUGame,
@@ -209,56 +210,65 @@ def _membership_rows(prim: Primitive):
     return [(h.normal, h.offset) for h in prim.halfspaces]
 
 
-def _escape_options(prim: Primitive):
-    """Rows forcing the point out of the primitive's interior (disjunctive)."""
-    return [
-        [(tuple(-a for a in h.normal), -h.offset)] for h in prim.halfspaces
-    ]
+def _escape_row(h: HalfSpace):
+    """<normal, x> >= offset: the point is out of the half-space's interior."""
+    return (tuple(-a for a in h.normal), -h.offset)
 
 
-def _accepts(utilities, members, exempt=frozenset()):
-    """The definition check of a search, as ``accept(point)``: one pass over
-    the uplifts, failing as soon as a firm outside ``exempt`` blocks the
-    point (uplift > 0) or a firm in ``members`` misses it (uplift < 0)."""
+def _forced_rows(utilities, members):
+    """Rows every admissible point satisfies: membership in each
+    single-primitive member, and escape from each single-half-space
+    primitive."""
+    rows = []
+    for i in members:
+        if len(utilities[i].primitives) == 1:
+            rows += _membership_rows(utilities[i].primitives[0])
+    for u in utilities:
+        rows += [_escape_row(p.halfspaces[0]) for p in u.primitives if len(p.halfspaces) == 1]
+    return rows
+
+
+def _violation(utilities, members):
+    """The definition check of a search as ``violation(point)``: ``None``
+    if the point passes, else the options of the first violated condition,
+    one escape row per half-space of a blocking primitive (uplift > 0), or
+    the membership rows of each primitive of a member missing the point
+    (every uplift < 0)."""
     members = frozenset(members)
 
-    def accept(point):
+    def violation(point):
         for i, u in enumerate(utilities):
-            t = u.uplift(point)
-            if (t > ZERO and i not in exempt) or (t < ZERO and i in members):
-                return False
-        return True
+            missed = i in members
+            for p in u.primitives:
+                t = p.uplift(point)
+                if t > ZERO:
+                    return [[_escape_row(h)] for h in p.halfspaces]
+                missed = missed and t < ZERO
+            if missed:
+                return [_membership_rows(p) for p in u.primitives]
+        return None
 
-    return accept
+    return violation
 
 
-def _search(n, rows, pending, accept, budget):
-    """DFS over disjunctive row groups.  ``pending`` is a list of option
-    lists; ``accept(point)`` is the exact definition check.
-
-    Each node runs one LP, maximizing the total payoff over its rows, and
-    tests only that LP's point.  An accepted point lies in some leaf
-    polyhedron below its node, and at a leaf every feasible point passes, so
-    whether a point is found does not depend on which points get tested.
+def _search(n, rows, violation, budget):
+    """Depth-first branching on violated conditions: one LP per node, which
+    maximizes the total payoff over its rows; infeasible rows prune, a point
+    that passes ``violation`` is returned, and otherwise there is one child
+    per option of the violated condition.  Every admissible point of the
+    node satisfies that condition, so it lies in a child and the search is
+    complete.  A condition branched on holds everywhere below, so none
+    repeats on a path: a path branches at most #primitives + #members times.
     """
     budget.spend()
-    # forced extensions first: single-option groups add rows without branching
-    while pending and len(pending[0]) == 1:
-        rows = rows + pending[0][0]
-        pending = pending[1:]
     res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows)))
     if isinstance(res, Infeasible):
         return None
-    if accept(res.witness):
+    options = violation(res.witness)
+    if options is None:
         return res.witness
-    if not pending:
-        # a full certificate's polyhedron: any feasible point qualifies;
-        # reaching here with accept failing would indicate an interior
-        # computed inconsistently with the membership rows
-        raise OverlapAmbiguity("leaf certificate point failed re-verification")
-    head, rest = pending[0], pending[1:]
-    for option in head:
-        found = _search(n, rows + option, rest, accept, budget)
+    for option in options:
+        found = _search(n, rows + option, violation, budget)
         if found is not None:
             return found
     return None
@@ -272,23 +282,17 @@ def fractional_core_solve(
     """Decide fractional-core nonemptiness exactly.
 
     Iterates the minimal balanced firm subsets in (size, lex) order; for
-    each, searches the certificate polyhedra (membership in one primitive
-    per active firm, escape from every primitive's interior).  That is
-    enough: a point admissible for a balanced subset is admissible for
-    every minimal balanced subset inside it, which comes earlier in that
-    order, so the first subset with a point is always minimal.
+    each, searches for a point inside every member's set that escapes every
+    primitive's interior.  That is enough: a point admissible for a
+    balanced subset is admissible for every minimal balanced subset inside
+    it, which comes earlier in that order, so the first subset with a point
+    is always minimal.
     """
     n = game.dim
     budget = _Budget(node_cap)
-    all_prims = [p for u in game.utilities for p in u.primitives]
-    escapes = [_escape_options(q) for q in all_prims]
     for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
-        memberships = [
-            [_membership_rows(p) for p in game.utilities[i].primitives]
-            for i in subset
-        ]
-        accept = _accepts(game.utilities, subset)
-        found = _search(n, [], memberships + escapes, accept, budget)
+        rows = _forced_rows(game.utilities, subset)
+        found = _search(n, rows, _violation(game.utilities, subset), budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -296,27 +300,19 @@ def fractional_core_solve(
 
 def core_solve(game: GeneralizedGame, node_cap: int = DEFAULT_NODE_CAP):
     """Decide core nonemptiness: a point of the distinguished firm's set
-    escaping every other firm's interior."""
+    escaping every other firm's interior.
+
+    The search also makes the point escape the distinguished firm's own
+    interior.  That loses no core: every uplift falls by t along x + t*ones,
+    so a core point raised by its distinguished uplift is still one, and it
+    lies on that firm's boundary.
+    """
     if game.distinguished is None:
         raise ValueError("core_solve needs a distinguished firm")
-    n = game.dim
-    dist = game.distinguished
-    budget = _Budget(node_cap)
-    others = [
-        p
-        for f, u in enumerate(game.utilities)
-        if f != dist
-        for p in u.primitives
-    ]
-    accept = _accepts(game.utilities, (dist,), exempt={dist})
-    memberships = [
-        [_membership_rows(p) for p in game.utilities[dist].primitives]
-    ]
-    pending = memberships + [_escape_options(q) for q in others]
-    found = _search(n, [], pending, accept, budget)
-    if found is None:
-        return Empty()
-    return CorePoint(vec(found))
+    dist = (game.distinguished,)
+    rows = _forced_rows(game.utilities, dist)
+    found = _search(game.dim, rows, _violation(game.utilities, dist), _Budget(node_cap))
+    return Empty() if found is None else CorePoint(vec(found))
 
 
 def is_balanced_game(

@@ -60,43 +60,36 @@ def balanced_components(lc: LabeledCover):
     return components
 
 
-def _neighborhood(lc: LabeledCover, component):
-    """Subdivision facets meeting the component's faces, plus bookkeeping."""
+def component_index(lc: LabeledCover, component) -> int:
+    """Degree of the cover on the boundary of the component's neighborhood."""
+    sub = barycentric_subdivision(lc.oriented)
+    return _component_index(lc, sub, set(balanced_facet_indices(lc)), component)
+
+
+def _component_index(lc: LabeledCover, sub, balanced, component) -> int:
+    """``component_index`` given the whole complex's subdivision and the
+    set of balanced facet indices."""
+    component = frozenset(component)
     facets = lc.oriented.complex.facets
+    if not component <= balanced:
+        raise ValueError("component contains non-balanced facets")
     comp_faces = set()
     for idx in component:
         f = facets[idx]
         for size in range(1, len(f) + 1):
             comp_faces.update(combinations(f, size))
-    sub = barycentric_subdivision(lc.oriented)
-    carriers = sub.carriers
-    marked = {w for w, face in enumerate(carriers) if face in comp_faces}
-    sd_facets = sub.oriented.complex.facets
-    in_n = [
-        i for i, f in enumerate(sd_facets) if any(w in marked for w in f)
-    ]
-    return sub, marked, in_n
-
-
-def component_index(lc: LabeledCover, component) -> int:
-    """Degree of the cover on the boundary of the component's neighborhood."""
-    component = frozenset(component)
-    facets = lc.oriented.complex.facets
-    balanced = set(balanced_facet_indices(lc))
-    if not component <= balanced:
-        raise ValueError("component contains non-balanced facets")
-    sub, marked, in_n = _neighborhood(lc, component)
     sd = sub.oriented
     carriers = sub.carriers
+    # the neighborhood: subdivision facets meeting the component's faces
+    marked = {w for w, face in enumerate(carriers) if face in comp_faces}
+    in_n = [i for i, f in enumerate(sd.complex.facets) if any(w in marked for w in f)]
     # the neighborhood must avoid every other balanced facet's territory:
     # each subdivision facet sits inside exactly one original facet (the top
     # of its flag)
-    tops = []
+    position = {f: idx for idx, f in enumerate(facets)}
     for i in in_n:
         flag_faces = [carriers[w] for w in sd.complex.facets[i]]
-        top = max(flag_faces, key=len)
-        tops.append(facets.index(top))
-    for owner in tops:
+        owner = position[max(flag_faces, key=len)]
         if owner in balanced and owner not in component:
             raise NotIsolated(
                 f"neighborhood touches balanced facet {facets[owner]}"
@@ -138,9 +131,11 @@ def index_sum_check(lc: LabeledCover) -> IndexSumReport:
     rim = boundary_complex(lc.oriented)
     rim_cover = LabeledCover(rim, lc.labels, lc.firm_system)
     boundary_degree = pl_degree(rim_cover)
-    components = balanced_components(lc)
+    sub = barycentric_subdivision(lc.oriented)
+    balanced = set(balanced_facet_indices(lc))
     indexed = tuple(
-        (tuple(sorted(c)), component_index(lc, c)) for c in components
+        (tuple(sorted(c)), _component_index(lc, sub, balanced, c))
+        for c in balanced_components(lc)
     )
     matches = isinstance(boundary_degree, Degree) and boundary_degree.value == sum(
         ix for _, ix in indexed

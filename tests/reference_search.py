@@ -1,16 +1,18 @@
 """Reference certificate search with two LPs per node.
 
-Test-only.  This is the search ``fraccore.frac_core`` replaced with one LP
-per node: every node first solves a feasibility LP and tests its point, then
-maximizes the total payoff over the same rows and tests that point too.
-Both searches explore the same certificate tree, so they must agree on the
-verdict kind and the active subset; only witness points may differ.
+Test-only.  This is the certificate-list search ``fraccore.frac_core``
+used before it branched on violated conditions: it walks a fixed list of
+disjunctive groups, one per primitive of each member (membership) and one
+per primitive anywhere (escape), and every node first solves a feasibility
+LP and tests its point, then maximizes the total payoff over the same rows
+and tests that point too.  Both searches are complete over the same
+polyhedra, so they must agree on the verdict kind and the active subset;
+only witness points may differ.
 """
 
 from __future__ import annotations
 
 from fraccore.balance import minimal_balanced_subsets
-from fraccore.errors import OverlapAmbiguity
 from fraccore.exact_linear import (
     Feasible,
     LinearSystem,
@@ -26,12 +28,18 @@ from fraccore.frac_core import (
     Empty,
     Nonempty,
     _Budget,
-    _escape_options,
     _membership_rows,
     make_witness,
 )
 from fraccore.game_model import contains
 from fraccore.rationals import ONE, ZERO, vec
+
+
+def _escape_options(prim):
+    """Rows forcing the point out of the primitive's interior (disjunctive)."""
+    return [
+        [(tuple(-a for a in h.normal), -h.offset)] for h in prim.halfspaces
+    ]
 
 
 def _feasible_point(rows, n):
@@ -61,7 +69,8 @@ def search(n, rows, pending, accept, budget):
     if probe is not None and accept(probe):
         return probe
     if not pending:
-        raise OverlapAmbiguity("leaf certificate point failed re-verification")
+        # every point of a full certificate's polyhedron is admissible
+        raise AssertionError("leaf certificate point failed re-verification")
     head, rest = pending[0], pending[1:]
     for option in head:
         found = search(n, rows + option, rest, accept, budget)

@@ -337,6 +337,30 @@ def test_hopf_needs_a_label_per_vertex(capsys, tmp_path):
     assert_malformed(capsys, ["hopf", write_json(tmp_path, "s.json", sphere)], "$.labels")
 
 
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"1": 0, "2": 0, "1,2": 1, "2,1": 5}, "2,1"),
+        ({" 1": 0, "2": 0, "1,2": 1}, " 1"),
+        ({"1": 0, "+2": 0, "1,2": 1}, "+2"),
+        ({"1": 0, "2": 0, "1,2": 1, "1,1": 0}, "1,1"),
+        ({"1": 0, "2": 0, "1,2": 1, "2,3": 0}, "2,3"),
+    ],
+)
+def test_tu_coalition_keys_name_distinct_coalitions(capsys, tmp_path, values, key):
+    # int(s) - 1 read " 1" and "+2" as players, "1,1" as a coalition and
+    # let "2,1" overwrite v({1,2}), giving the core point (5, 0); player 3
+    # of 2 was reported without the key's path
+    doc = {"schema": "fraccore.tu/1", "n": 2, "values": values}
+    path = write_json(tmp_path, "tu.json", doc)
+    assert_malformed(capsys, ["tu-core", path], f"$.values[{key!r}]")
+
+
+def test_tu_coalition_key_order_is_free():
+    doc = {"schema": "fraccore.tu/1", "n": 2, "values": {"2": 0, "1": 0, "2,1": 1}}
+    assert tu_from_json(doc).values == {(0,): 0, (1,): 0, (0, 1): 1}
+
+
 def _cover_doc():
     from fraccore.gallery import two_bubble_cover
 
@@ -398,6 +422,10 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
 
+# keys no TU document may hold: not canonical player numbers in 1..n, a
+# repeated player, or a coalition the document already names in another order
+BAD_COALITION_KEYS = (" 1", "+2", "01", "1,1", "2,1", "0", "4", "1,", "")
+
 # top-level counts: a positive JSON integer and nothing else, not even the
 # same number as a float or a numeral
 COUNT_FIELDS = ("n", "vertices", "dimension")
@@ -412,12 +440,15 @@ COUNT_JUNK = st.one_of(
 @st.composite
 def broken_documents(draw):
     """A command and its valid document with one scalar or count replaced by
-    junk, or with the whole document replaced by a value that is not an
-    object."""
+    junk, with a bad coalition key added to a TU document, or with the whole
+    document replaced by a value that is not an object."""
     argv, doc = draw(st.sampled_from(FILE_COMMANDS))
     if draw(st.booleans()):
         return argv, draw(JUNK.filter(lambda v: not isinstance(v, dict)))
     doc = json.loads(json.dumps(doc))
+    if "values" in doc and draw(st.booleans()):
+        doc["values"][draw(st.sampled_from(BAD_COALITION_KEYS))] = 0
+        return argv, doc
     counts = [(key,) for key in COUNT_FIELDS if key in doc]
     *parents, last = draw(st.sampled_from(sorted(_leaves(doc), key=str) + counts))
     target = doc

@@ -25,6 +25,8 @@ from fraccore.game_model import (
     ComprehensiveSet,
     FirmSystem,
     GeneralizedGame,
+    HalfSpace,
+    Primitive,
     TUGame,
     coalition_cylinder,
     coalitions,
@@ -390,28 +392,12 @@ def test_nonzero_region_degree_implies_nonempty():
 def _closure_fractional_core(game):
     """fractional_core_solve as a loop over the full balanced closure."""
     from fraccore.balance import balanced_subsets
-    from fraccore.frac_core import (
-        _Budget,
-        _escape_options,
-        _membership_rows,
-        _search,
-        make_witness,
-    )
+    from fraccore.frac_core import _Budget, _forced_rows, _search, _violation, make_witness
 
     budget = _Budget(10**6)
-    escapes = [_escape_options(q) for u in game.utilities for q in u.primitives]
     for subset in balanced_subsets(game.firm_system, "cone"):
-
-        def accept(point, _subset=subset):
-            x = vec(point)
-            if any(u.uplift(x) > 0 for u in game.utilities):
-                return False
-            return all(contains(game.utilities[i], x) for i in _subset)
-
-        memberships = [
-            [_membership_rows(p) for p in game.utilities[i].primitives] for i in subset
-        ]
-        found = _search(game.dim, [], memberships + escapes, accept, budget)
+        rows = _forced_rows(game.utilities, subset)
+        found = _search(game.dim, rows, _violation(game.utilities, subset), budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -590,6 +576,94 @@ def test_one_lp_search_matches_two_lp_reference():
         kinds.add((type(frac).__name__, type(core).__name__))
     assert {f for f, _ in kinds} == {"Nonempty", "Empty"}
     assert {c for _, c in kinds} == {"CorePoint", "Empty"}
+
+
+# ---------------------------------------------------------------------------
+# branching on the condition the LP point violates
+# ---------------------------------------------------------------------------
+
+
+def _late_blocker_game(k):
+    """Member firm 0 is a cone with apex 0, the unique LP point of the root.
+    Firms 1..k are orthants of two half-spaces far below it, which never
+    block; only the last firm's orthant blocks the apex, and escaping its
+    first half-space leads to the admissible point (1, -2)."""
+    cone = Primitive((HalfSpace((2, 1), 0), HalfSpace((1, 2), 0)))
+    utilities = [ComprehensiveSet((cone,))]
+    utilities += [ComprehensiveSet((point_orthant((-3 - j, -3 - j)),)) for j in range(k)]
+    utilities.append(ComprehensiveSet((point_orthant((1, 1)),)))
+    fs = FirmSystem(firms=[(1, 1)] + [(1, 0)] * (k + 1), resource=(1, 1))
+    return GeneralizedGame(tuple(utilities), fs, distinguished=0)
+
+
+def _with_distinguished(game, dist):
+    return GeneralizedGame(game.utilities, game.firm_system, distinguished=dist)
+
+
+@pytest.mark.parametrize(
+    "name, game, frac_lps, core_lps",
+    [
+        # the k never-blocking firms come before the blocker; a search that
+        # branched on primitives in firm order would spend k + 3 and k + 2
+        ("late blocker, k=3", _late_blocker_game(3), 2, 2),
+        ("late blocker, k=5", _late_blocker_game(5), 2, 2),
+        ("loss sharing", embed_coalitional(loss_sharing_tu()), 1, 1),
+        ("loss sharing, modified", embed_coalitional(loss_sharing_tu_modified()), 6, 1),
+        ("directed transfers", _with_distinguished(directed_transfers_game(), 0), 6, 1),
+    ],
+)
+def test_search_lp_counts(monkeypatch, name, game, frac_lps, core_lps):
+    frac = _count_search_lps(monkeypatch, lambda: fractional_core_solve(game))
+    core = _count_search_lps(monkeypatch, lambda: core_solve(game))
+    assert (frac, core) == ((frac_lps, frac_lps), (core_lps, core_lps))
+
+
+def test_search_depth_within_primitives_plus_members(monkeypatch):
+    from fraccore import frac_core
+
+    search, violation = frac_core._search, frac_core._violation
+    state = {"primitives": 0, "bound": 0, "depth": 0}
+    nodes = []  # (branchings above a node, #primitives + #members)
+
+    def recording_violation(utilities, members):
+        state["bound"] = state["primitives"] + len(members)
+        return violation(utilities, members)
+
+    def recording_search(n, rows, check, budget):
+        nodes.append((state["depth"], state["bound"]))
+        state["depth"] += 1
+        try:
+            return search(n, rows, check, budget)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(frac_core, "_violation", recording_violation)
+    monkeypatch.setattr(frac_core, "_search", recording_search)
+    for game in _reference_games():
+        state["primitives"] = sum(len(u.primitives) for u in game.utilities)
+        fractional_core_solve(game)
+        core_solve(game)
+    assert all(depth <= bound for depth, bound in nodes)
+    assert max(depth for depth, _ in nodes) >= 2
+
+
+def test_core_point_lies_on_the_distinguished_boundary():
+    # the core search escapes every interior, the distinguished one too
+    points = 0
+    for game in _reference_games():
+        core = core_solve(game)
+        if isinstance(core, CorePoint):
+            assert game.utilities[game.distinguished].uplift(core.point) == 0
+            points += 1
+    assert points
+
+
+@pytest.mark.parametrize("solve", [fractional_core_solve, core_solve])
+def test_node_cap_raises_mid_search(solve):
+    game = _late_blocker_game(3)
+    with pytest.raises(CapExceeded):
+        solve(game, node_cap=1)
+    assert not isinstance(solve(game, node_cap=2), Empty)
 
 
 # ---------------------------------------------------------------------------

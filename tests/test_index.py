@@ -97,6 +97,22 @@ def test_boundary_touching_component_raises():
         component_index(lc, comps[0])
 
 
+def test_index_sum_check_subdivides_once(monkeypatch):
+    from fraccore.topology import index
+
+    calls = []
+    subdivide = index.barycentric_subdivision
+
+    def counting(oc):
+        calls.append(oc)
+        return subdivide(oc)
+
+    monkeypatch.setattr(index, "barycentric_subdivision", counting)
+    rep = index_sum_check(two_bubble_cover(1, -1))
+    assert len(rep.components) == 2
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # invariance under relabelling the vertices
 # ---------------------------------------------------------------------------
