@@ -35,10 +35,21 @@ from .topology.hopf import hopf_invariant
 from .topology.s3_12 import load as load_sphere_asset
 
 
+def _unique_keys(pairs):
+    """A JSON object whose keys are all distinct; plain ``json`` would keep
+    the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise MalformedInput(f"$: cannot read JSON from {path}: {exc}") from exc
 
@@ -52,8 +63,8 @@ def _load_firm_system(path) -> FirmSystem:
 
 def _json_arg(text, what):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
         raise MalformedInput(f"$.{what}: invalid JSON: {exc}") from exc
 
 

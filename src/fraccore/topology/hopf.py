@@ -16,56 +16,53 @@ triangle.
 from __future__ import annotations
 
 from ..errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
-from .complexes import OrientedComplex, validate_closed_manifold
+from .complexes import OrientedComplex, _perm_sign, validate_closed_manifold
 from .intlinalg import integer_rank, smith_normal_form, solve_integer
-
-
-def _sorted_with_sign(tri):
-    order = sorted(range(3), key=lambda i: tri[i])
-    sign = 1
-    perm = [order.index(i) for i in range(3)]
-    # parity of a 3-permutation
-    if perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
-        sign = -1
-    return tuple(tri[i] for i in order), sign
 
 
 def _pullback(triangles, vertex_map, target):
     """f* of the dual of the target triangle, as a map triangle -> int."""
     value = {}
     for tri in triangles:
-        images = tuple(vertex_map[v] for v in tri)
-        if len(set(images)) != 3:
+        images = [vertex_map[v] for v in tri]
+        if sorted(images) == list(target):
+            value[tri] = _perm_sign([target.index(t) for t in images])
+        else:
             value[tri] = 0
-            continue
-        sorted_imgs, sign = _sorted_with_sign(images)
-        value[tri] = sign if sorted_imgs == target else 0
     return value
 
 
+def _coboundary_rows(eid, tris):
+    """The coboundary of 1-cochains: one row per triangle (a, b, c), one
+    column per edge, with (delta beta)(a, b, c) = beta(b, c) - beta(a, c)
+    + beta(a, b).  It is the transpose of the boundary map d2."""
+    rows = []
+    for a, b, c in tris:
+        row = [0] * len(eid)
+        row[eid[(b, c)]] += 1
+        row[eid[(a, c)]] -= 1
+        row[eid[(a, b)]] += 1
+        rows.append(row)
+    return rows
+
+
 def first_homology(K):
-    """(first Betti number, torsion coefficients) over the integers."""
+    """(first Betti number, torsion coefficients) over the integers.
+
+    d2 and its transpose have the same invariant factors, so they are read
+    off the coboundary rows."""
     faces = K.all_faces()
     verts = sorted(faces[0])
     edges = sorted(faces[1])
-    tris = sorted(faces[2])
     vid = {v: i for i, v in enumerate(verts)}
     eid = {e: i for i, e in enumerate(edges)}
     d1 = [[0] * len(edges) for _ in verts]
     for j, (a, b) in enumerate(edges):
         d1[vid[(a,)]][j] -= 1
         d1[vid[(b,)]][j] += 1
-    d2 = [[0] * len(tris) for _ in edges]
-    for j, (a, b, c) in enumerate(tris):
-        d2[eid[(b, c)]][j] += 1
-        d2[eid[(a, c)]][j] -= 1
-        d2[eid[(a, b)]][j] += 1
-    rank_d1 = integer_rank(d1)
-    diag, _, _ = smith_normal_form(d2)
-    rank_d2 = sum(1 for d in diag if d != 0)
-    betti = len(edges) - rank_d1 - rank_d2
-    torsion = [d for d in diag if d not in (0, 1)]
-    return betti, torsion
+    factors = smith_normal_form(_coboundary_rows(eid, sorted(faces[2])))
+    betti = len(edges) - integer_rank(d1) - sum(1 for d in factors if d)
+    return betti, [d for d in factors if d > 1]
 
 
 def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
@@ -101,17 +98,7 @@ def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
     alpha1 = _pullback(tris, vertex_map, (1, 2, 3))
     alpha2 = _pullback(tris, vertex_map, (0, 1, 2))
     eid = {e: i for i, e in enumerate(edges)}
-    rows = []
-    rhs = []
-    for tri in tris:
-        a, b, c = tri
-        row = [0] * len(edges)
-        row[eid[(b, c)]] += 1
-        row[eid[(a, c)]] -= 1
-        row[eid[(a, b)]] += 1
-        rows.append(row)
-        rhs.append(alpha1[tri])
-    beta1 = solve_integer(rows, rhs)
+    beta1 = solve_integer(_coboundary_rows(eid, tris), [alpha1[tri] for tri in tris])
     if beta1 is None:
         raise CoboundaryUnsolvable(
             "pullback cocycle is not an integral coboundary (H^2 != 0)"

@@ -242,6 +242,7 @@ def assert_malformed(capsys, argv, path):
     assert captured.out == ""
     assert captured.err.startswith(f"malformed input: {path}")
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 def data_json(name):
@@ -354,6 +355,27 @@ def test_tu_coalition_keys_name_distinct_coalitions(capsys, tmp_path, values, ke
     doc = {"schema": "fraccore.tu/1", "n": 2, "values": values}
     path = write_json(tmp_path, "tu.json", doc)
     assert_malformed(capsys, ["tu-core", path], f"$.values[{key!r}]")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('"n": 2, "values": {"1": 0, "2": 0, "1,2": 1, "1,2": 5}', "1,2"),
+        ('"n": 3, "n": 2, "values": {"1": 0, "2": 0, "1,2": 1}', "n"),
+    ],
+)
+def test_repeated_json_key_in_a_file(capsys, tmp_path, text, key):
+    # plain json.load kept the last value: core point (5, 0), or a 2-player game
+    path = tmp_path / "tu.json"
+    path.write_text('{"schema": "fraccore.tu/1", ' + text + "}")
+    err = assert_malformed(capsys, ["tu-core", str(path)], "$")
+    assert f"repeated key {key!r}" in err
+
+
+def test_repeated_json_key_in_an_argument(capsys):
+    argv = ["tu-core", data_path("example1.json"), "--check-point", '{"a": 1, "a": 2}']
+    err = assert_malformed(capsys, argv, "$.check_point")
+    assert "repeated key 'a'" in err
 
 
 def test_tu_coalition_key_order_is_free():

@@ -10,6 +10,7 @@ from fraccore.topology.complexes import (
     simplex_boundary,
     validate_closed_manifold,
 )
+from fraccore.topology.hopf import first_homology
 
 # minimal 6-vertex projective plane (antipodal icosahedron quotient)
 RP2_FACETS = (
@@ -54,6 +55,10 @@ def test_projective_plane_detected_nonorientable():
     assert rep.euler == 1
     assert not rep.orientable
     assert propagate_orientation(K) is None
+
+
+def test_projective_plane_has_two_torsion():
+    assert first_homology(SimplicialComplex(6, RP2_FACETS)) == (0, [2])
 
 
 def test_orientation_coherence_signs():

@@ -6,6 +6,7 @@ from helpers_fibered import product_bundle_complex, sphere_complex
 from relabel import relabel
 from fraccore.errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
 from fraccore.topology.complexes import (
+    barycentric_subdivision,
     propagate_orientation,
     simplex_boundary,
     validate_closed_manifold,
@@ -95,6 +96,27 @@ def test_product_bundle_has_unsolvable_coboundary():
     oc = propagate_orientation(K)
     with pytest.raises(CoboundaryUnsolvable):
         hopf_invariant(oc, coloring)
+
+
+@pytest.fixture(scope="module")
+def subdivided_asset():
+    """The asset after one barycentric subdivision, each new vertex coloured
+    like the lowest vertex of its carrier (so still simplicial)."""
+    oc, coloring = load()
+    sd = barycentric_subdivision(oc)
+    return sd.oriented, [coloring[min(carrier)] for carrier in sd.carriers]
+
+
+def test_subdivided_asset_is_homology_sphere(subdivided_asset):
+    oc, _ = subdivided_asset
+    assert (oc.complex.num_vertices, len(oc.complex.facets)) == (180, 936)
+    assert first_homology(oc.complex) == (0, [])
+
+
+def test_invariant_under_subdivision(subdivided_asset):
+    oc, colors = subdivided_asset
+    assert hopf_invariant(oc, colors) == 1
+    assert hopf_invariant(oc.reversed(), colors) == -1
 
 
 # ---------------------------------------------------------------------------
