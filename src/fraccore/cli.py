@@ -506,16 +506,16 @@ def _build_parser() -> _Parser:
     sp = add("frac-core", _cmd_frac_core)
     sp.add_argument("input")
     sp.add_argument("--verify-point", help="JSON point to verify independently")
-    sp.add_argument("--firm-cap", type=int, default=20)
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--firm-cap", type=int, default=frac_core.DEFAULT_SUBSET_CAP)
+    sp.add_argument("--node-cap", type=int, default=frac_core.DEFAULT_NODE_CAP)
 
     sp = add("core", _cmd_core)
     sp.add_argument("input")
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--node-cap", type=int, default=frac_core.DEFAULT_NODE_CAP)
 
     sp = add("game-balanced", _cmd_game_balanced)
     sp.add_argument("input")
-    sp.add_argument("--firm-cap", type=int, default=20)
+    sp.add_argument("--firm-cap", type=int, default=frac_core.DEFAULT_SUBSET_CAP)
 
     sp = add("embed", _cmd_embed)
     sp.add_argument("input")

@@ -14,17 +14,19 @@ pivots use Bareiss's integer-preserving update, so every entry is an
 integer over one shared denominator, the basis determinant.  The update
 (``_eliminate``) and the integer scaling (``_clear_denominators``) are the
 ones ``linalg`` reduces its matrices with: the package has one exact
-elimination kernel.  Positive
-scaling changes no sign and no ratio, so the pivots are those of the same
-simplex over rationals.  Rationals appear only when reading the input and
-when building the returned value, witness and ray.
+elimination kernel.  Positive scaling changes no sign and no ratio, so the
+pivots are those of the same simplex over rationals.  Rationals appear only
+when reading the input and when building the returned value, witness, ray
+and reduced costs.  An optimum reports each variable's reduced cost
+c_B B^-1 A_j - c_j off the final objective row; where column j is the unit
+vector e_i, c_j plus that cost is the optimal dual value of row i.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import MalformedSystem
 from .linalg import _clear_denominators, _eliminate
@@ -75,8 +77,13 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class Optimal:
+    """Value, vertex and each variable's reduced cost at the final basis
+    (>= 0 if ``nonneg``, else 0).  At a degenerate optimum the reduced costs
+    depend on the basis the pivots end in, so equality ignores them."""
+
     value: "Q"
     witness: tuple
+    reduced_costs: tuple = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,9 @@ def _objective_row(rows, basis, c, det):
 def _solve_standard(a_rows, b, c):
     """max c.y s.t. a_rows y = b, y >= 0, all data integers.
 
-    Returns ("infeasible",) | ("optimal", value, y, det) |
-    ("unbounded", y, ray, det), every number an integer over det.
+    Returns ("infeasible",) | ("optimal", obj, y, det) |
+    ("unbounded", y, ray, det), every number an integer over det; ``obj``
+    is the final objective row: the reduced costs, then the value.
     """
     m = len(a_rows)
     n = len(c)
@@ -192,7 +200,7 @@ def _solve_standard(a_rows, b, c):
         for i, bi in enumerate(basis):
             ray[bi] = -rows[i][entering]
         return ("unbounded", y, ray, det)
-    return ("optimal", obj[-1], y, det)
+    return ("optimal", obj, y, det)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +259,9 @@ def maximize(objective, sys: LinearSystem):
     if res[0] == "unbounded":
         _, y, ray, det = res
         return Unbounded(_recover(y, det, n, nonneg), _recover(ray, det, n, nonneg))
-    _, value, y, det = res
-    return Optimal(Q(value, det * cscale), _recover(y, det, n, nonneg))
+    _, obj, y, det = res
+    reduced = tuple(Q(x, det * cscale) if x else ZERO for x in obj[:n])
+    return Optimal(Q(obj[-1], det * cscale), _recover(y, det, n, nonneg), reduced)
 
 
 def solve_feasibility(sys: LinearSystem):

@@ -22,7 +22,7 @@ from .game_model import (
     TUGame,
 )
 from .rationals import rat, rat_json
-from .topology.complexes import OrientedComplex, SimplicialComplex
+from .topology.complexes import OrientedComplex, SimplicialComplex, propagate_orientation
 from .topology.degree import LabeledCover
 
 
@@ -229,8 +229,6 @@ def complex_from_json(obj):
         K = _complex(obj)
         orientation = obj.get("orientation")
         if orientation is None:
-            from .topology.complexes import propagate_orientation
-
             oc = propagate_orientation(K)
             if oc is None:
                 raise MalformedInput("$.orientation: missing and not derivable")

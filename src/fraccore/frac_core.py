@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .balance import DEFAULT_FIRM_CAP as DEFAULT_SUBSET_CAP
 from .balance import balance_test, minimal_balanced_subsets
 from .errors import CapExceeded
 from .exact_linear import Infeasible, LinearSystem, Optimal, maximize
@@ -42,7 +43,6 @@ from .game_model import (
 )
 from .rationals import ONE, ZERO, Q, vec
 
-DEFAULT_SUBSET_CAP = 20
 DEFAULT_NODE_CAP = 1_000_000
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DimensionMismatch
-from .exact_linear import Feasible, LinearSystem, maximize, solve_feasibility
+from .exact_linear import Feasible, LinearSystem, Unbounded, maximize, solve_feasibility
+from .linalg import nullspace
 from .rationals import ONE, ZERO, Q, dot, rat, vec
 
 
@@ -133,8 +134,6 @@ def comprehensive_hull(points) -> Primitive:
     has the kernel of one of these); candidates failing nonnegativity or
     validity are discarded.
     """
-    from .linalg import nullspace
-
     pts = [vec(p) for p in points]
     n = len(pts[0])
     if any(len(p) != n for p in pts):
@@ -340,7 +339,7 @@ class TUGame:
     """Characteristic function on all nonempty coalitions of range(n)."""
 
     n: int
-    values: dict = field(compare=False)
+    values: dict = field(hash=False)
 
     def __post_init__(self):
         fixed = {}
@@ -371,7 +370,7 @@ class CoalitionalNTUGame:
     """
 
     n: int
-    sets: dict = field(compare=False)
+    sets: dict = field(hash=False)
 
     def __post_init__(self):
         fixed = {}
@@ -389,8 +388,6 @@ class CoalitionalNTUGame:
 
     def bounded_above(self) -> bool:
         """Each V(S) cut to the nonnegative orthant must be bounded (by LP)."""
-        from .exact_linear import Unbounded
-
         for coal, cs in self.sets.items():
             k = len(coal)
             for p in cs.primitives:

@@ -11,6 +11,7 @@ is returned instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
@@ -21,6 +22,7 @@ from .complexes import (
     OrientedComplex,
     SimplicialComplex,
     barycentric_subdivision,
+    propagate_orientation,
     simplex_boundary,
 )
 
@@ -166,10 +168,8 @@ def closed_star_cover(
     face_colors = {}
     for facet in oc.complex.facets:
         colors = frozenset(coloring[v] for v in facet)
-        from itertools import combinations as _comb
-
         for size in range(1, len(facet) + 1):
-            for face in _comb(facet, size):
+            for face in combinations(facet, size):
                 face_colors[face] = face_colors.get(face, frozenset()) | colors
     labels = tuple(face_colors[face] for face in sub.carriers)
     return LabeledCover(sub.oriented, labels, firm_system)
@@ -291,8 +291,6 @@ def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
                     facets.append(tuple(sorted((corners[0], corners[1], corners[2]))))
                     facets.append(tuple(sorted((corners[0], corners[2], corners[3]))))
     K = SimplicialComplex(len(positions), tuple(facets))
-    from .complexes import propagate_orientation
-
     oc = propagate_orientation(K)
     assert oc is not None
     return oc, positions

@@ -1,9 +1,10 @@
-"""Core feasibility and balancedness for transferable-utility games.
+"""Core and balancedness for transferable-utility games, from one LP.
 
-The core is one exact LP (efficiency equality plus one coverage row per
-coalition); balancedness is the dual LP over balancing weights, whose
-optimal support yields a violating family when the optimum exceeds the
-grand-coalition value.
+The balancing LP maximizes the weighted coalition values over balancing
+weights; by Bondareva-Shapley its dual is the core LP.  The game is
+balanced, and its core nonempty, exactly when the optimum is the grand
+coalition's value: then the dual point is a core allocation, otherwise
+the optimal support is a violating balanced family.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .balance import BalancedFamily, checked_family
 from .errors import DimensionMismatch
-from .exact_linear import Feasible, LinearSystem, Optimal, maximize, solve_feasibility
+from .exact_linear import LinearSystem, Optimal, maximize
 from .game_model import TUGame, coalitions
 from .rationals import ONE, ZERO, Q, vec
 
@@ -49,21 +50,29 @@ class Reject:
     reason: str
 
 
+def _balancing_lp(game: TUGame):
+    """max sum_S w_S v(S) over w >= 0 with sum_{S ∋ i} w_S = 1 per player i."""
+    coals = coalitions(game.n)
+    eqs = [(tuple(ONE if i in c else ZERO for c in coals), ONE) for i in range(game.n)]
+    sys = LinearSystem(len(coals), equalities=tuple(eqs), nonneg=True)
+    res = maximize([game.value(c) for c in coals], sys)
+    assert isinstance(res, Optimal), "balancing polytope is nonempty and bounded"
+    return coals, res
+
+
 def core_nonempty(game: TUGame):
     """A core allocation (sum = value of the grand coalition, no coalition
-    short-changed) or Empty."""
-    n = game.n
-    eqs = [((ONE,) * n, game.value(game.grand))]
-    leq = []
-    for coal in coalitions(n):
-        row = [ZERO] * n
-        for i in coal:
-            row[i] = -ONE
-        leq.append((tuple(row), -game.value(coal)))
-    res = solve_feasibility(LinearSystem(n, equalities=tuple(eqs), leq=tuple(leq)))
-    if isinstance(res, Feasible):
-        return CorePoint(res.witness)
-    return Empty()
+    short-changed) or Empty, read off the balancing LP's dual y = c_B B^-1.
+
+    The reduced cost of coalition S is y(S) - v(S) >= 0 at the optimum, so
+    no coalition is short-changed; the singletons are coalitions 0..n-1
+    with unit columns, so y_i = v({i}) + its reduced cost.  sum(y) = y.1 is
+    the optimum, which is v(N) exactly when the game is balanced.
+    """
+    _, res = _balancing_lp(game)
+    if res.value > game.value(game.grand):
+        return Empty()
+    return CorePoint(tuple(game.value((i,)) + res.reduced_costs[i] for i in range(game.n)))
 
 
 def is_balanced_tu(game: TUGame):
@@ -73,23 +82,11 @@ def is_balanced_tu(game: TUGame):
     feasible); the game is balanced exactly when equality holds, and an
     optimal support exceeding it is returned as the violating family.
     """
-    n = game.n
-    coals = coalitions(n)
-    m = len(coals)
-    eqs = []
-    for player in range(n):
-        eqs.append((tuple(ONE if player in c else ZERO for c in coals), ONE))
-    sys = LinearSystem(m, equalities=tuple(eqs), nonneg=True)
-    objective = [game.value(c) for c in coals]
-    res = maximize(objective, sys)
-    assert isinstance(res, Optimal), "balancing polytope is nonempty and bounded"
-    grand_value = game.value(game.grand)
-    if res.value <= grand_value:
+    coals, res = _balancing_lp(game)
+    if res.value <= game.value(game.grand):
         return Balanced(res.value)
     support = [(c, w) for c, w in zip(coals, res.witness) if w > ZERO]
-    family = checked_family(
-        [c for c, _ in support], [w for _, w in support], n
-    )
+    family = checked_family([c for c, _ in support], [w for _, w in support], game.n)
     return Violated(family, res.value)
 
 

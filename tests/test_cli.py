@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fraccore.cli import main
+from fraccore import balance, frac_core
+from fraccore.cli import _build_parser, main
 from fraccore.formats import (
     cover_from_json,
     cover_to_json,
@@ -502,3 +503,17 @@ def test_count_must_be_a_positive_json_integer(capsys, tmp_path, argv, field, ju
     doc = json.loads(json.dumps(next(d for a, d in FILE_COMMANDS if a == argv)))
     doc[field] = junk(doc[field])
     assert_malformed(capsys, [*argv, write_json(tmp_path, "doc.json", doc)], f"$.{field}")
+
+
+def test_cap_defaults_are_the_library_constants():
+    parser = _build_parser()
+    caps = {
+        "frac-core": (frac_core.DEFAULT_SUBSET_CAP, frac_core.DEFAULT_NODE_CAP),
+        "core": (None, frac_core.DEFAULT_NODE_CAP),
+        "game-balanced": (frac_core.DEFAULT_SUBSET_CAP, None),
+    }
+    for command, (firm_cap, node_cap) in caps.items():
+        args = parser.parse_args([command, "game.json"])
+        assert getattr(args, "firm_cap", None) == firm_cap
+        assert getattr(args, "node_cap", None) == node_cap
+    assert frac_core.DEFAULT_SUBSET_CAP == balance.DEFAULT_FIRM_CAP

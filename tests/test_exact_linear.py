@@ -409,3 +409,58 @@ def test_nonneg_costs_no_row_or_column(monkeypatch):
     maximize((1, 0, 0), LinearSystem(3, equalities, leq, nonneg=True))
     maximize((1, 0, 0), explicit_rows(LinearSystem(3, equalities, leq, nonneg=True)))
     assert shapes == [(2, 4), (5, 10)]
+
+
+# ---------------------------------------------------------------------------
+# reduced costs c_B B^-1 A_j - c_j at the optimum
+# ---------------------------------------------------------------------------
+
+
+@given(random_systems(min_vars=0), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_reduced_costs_at_optimum(data, nonneg):
+    # dual feasibility and complementary slackness for nonneg variables; a
+    # free variable splits into u - w, whose costs are >= 0 and sum to 0
+    objective, n, eqs, leq, _ = data
+    res = maximize(objective, LinearSystem(n, equalities=eqs, leq=leq, nonneg=nonneg))
+    if not isinstance(res, Optimal):
+        return
+    assert len(res.reduced_costs) == n
+    assert all(type(r) is Q for r in res.reduced_costs)
+    if nonneg:
+        assert all(r >= 0 for r in res.reduced_costs)
+        assert all(r * x == 0 for r, x in zip(res.reduced_costs, res.witness))
+    else:
+        assert all(r == 0 for r in res.reduced_costs)
+
+
+@st.composite
+def identity_block_systems(draw):
+    """Systems whose last columns are the unit vectors of their rows, so an
+    optimum's dual point is y_i = c_j + reduced cost of the unit column j."""
+    k = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for i in range(m):
+        a = tuple(draw(coefficients) for _ in range(k))
+        rows.append((a + tuple(rat(int(i == r)) for r in range(m)), draw(right_hand_sides)))
+    neq = draw(st.integers(min_value=0, max_value=m))
+    objective = draw(st.lists(coefficients, min_size=k + m, max_size=k + m))
+    nonneg = draw(st.booleans())
+    return objective, k, LinearSystem(k + m, rows[:neq], rows[neq:], nonneg=nonneg)
+
+
+@given(identity_block_systems())
+@settings(max_examples=200, deadline=None)
+def test_dual_point_off_an_identity_block(data):
+    objective, k, sys = data
+    res = maximize(objective, sys)
+    if not isinstance(res, Optimal):
+        return
+    rows = sys.equalities + sys.leq
+    y = [objective[k + i] + res.reduced_costs[k + i] for i in range(len(rows))]
+    assert dot(y, [b for _, b in rows]) == res.value
+    for j in range(sys.num_vars):
+        column = [a[j] for a, _ in rows]
+        assert dot(y, column) - objective[j] == res.reduced_costs[j]
+    assert all(y_i >= 0 for y_i in y[len(sys.equalities) :])

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from fraccore.errors import DimensionMismatch
 from fraccore.game_model import (
+    CoalitionalNTUGame,
     ComprehensiveSet,
     FirmSystem,
     GeneralizedGame,
@@ -13,6 +14,8 @@ from fraccore.game_model import (
     cover_labels,
     in_induced_cover,
     point_orthant,
+    TUGame,
+    coalitions,
     tau,
     validate_game,
 )
@@ -291,3 +294,21 @@ def test_comprehensive_hull_needs_a_facet():
         ((Q(0), Q(1)), Q(1)),
         ((Q(1, 2), Q(1, 2)), Q(1, 2)),
     }
+
+
+def test_tu_games_compare_by_values():
+    low = TUGame(2, {(0,): 0, (1,): 0, (0, 1): 1})
+    high = TUGame(2, {(0,): 5, (1,): 5, (0, 1): 1})
+    assert low != high
+    same = TUGame(2, {(1, 0): 1, (1,): 0, (0,): 0})
+    assert same == low and hash(same) == hash(low)
+
+
+def test_ntu_games_compare_by_sets():
+    def game(grand):
+        return CoalitionalNTUGame(
+            2, {c: orthant_set((grand,) * len(c) if len(c) == 2 else (0,)) for c in coalitions(2)}
+        )
+
+    assert game(1) != game(2)
+    assert game(1) == game(1) and hash(game(1)) == hash(game(1))

@@ -1,9 +1,13 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fraccore import exact_linear
+from fraccore.exact_linear import Feasible, LinearSystem, solve_feasibility
 from fraccore.game_model import TUGame, coalitions
 from fraccore.gallery import loss_sharing_tu, loss_sharing_tu_modified
-from fraccore.rationals import Q
+from fraccore.rationals import ONE, ZERO, Q
 from fraccore.tu_solver import (
     Accept,
     Balanced,
@@ -112,3 +116,85 @@ def test_balancing_lp_declares_nonnegative_weights(monkeypatch):
     game = _random_tu(random.Random(5), 5)
     is_balanced_tu(game)
     assert shapes == [(5, 31)]
+
+
+def test_core_reads_the_balancing_lp(monkeypatch):
+    # the core point comes off the same 5-row balancing LP; the coverage-row
+    # core LP made a 32-row standard form over 41 columns
+    shapes = []
+    inner = exact_linear._solve_standard
+
+    def spy(a_rows, b, c):
+        shapes.append((len(a_rows), len(c)))
+        return inner(a_rows, b, c)
+
+    monkeypatch.setattr(exact_linear, "_solve_standard", spy)
+    core_nonempty(_random_tu(random.Random(5), 5))
+    assert shapes == [(5, 31)]
+
+
+# ---------------------------------------------------------------------------
+# the core as its own LP: one efficiency equality, one coverage row per
+# coalition, n free variables (kept as a reference for the dual reading)
+# ---------------------------------------------------------------------------
+
+
+def reference_core_nonempty(game: TUGame):
+    n = game.n
+    eqs = [((ONE,) * n, game.value(game.grand))]
+    leq = []
+    for coal in coalitions(n):
+        row = [ZERO] * n
+        for i in coal:
+            row[i] = -ONE
+        leq.append((tuple(row), -game.value(coal)))
+    res = solve_feasibility(LinearSystem(n, equalities=tuple(eqs), leq=tuple(leq)))
+    if isinstance(res, Feasible):
+        return CorePoint(res.witness)
+    return Empty()
+
+
+@st.composite
+def tu_games(draw):
+    """Random games, games built around a core point (some just short of
+    it), all-zero games, additive games (returned with their valuation) and
+    games whose values come from three numbers, so that many ties make
+    degenerate optima."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    coals = coalitions(n)
+    kind = draw(st.sampled_from(["random", "around", "zero", "additive", "ties"]))
+    small = st.integers(min_value=-6, max_value=6).map(Q)
+    additive = None
+    if kind == "random":
+        values = {c: draw(small) for c in coals}
+    elif kind in ("around", "additive"):
+        x = [draw(small) for _ in range(n)]
+        values = {c: sum((x[i] for i in c), ZERO) for c in coals}
+        if kind == "around":
+            for c in coals[:-1]:
+                values[c] -= draw(st.sampled_from([0, 0, 1, 3]))
+            # a grand value short by less than 1 leaves a fractional gap
+            values[coals[-1]] -= draw(st.sampled_from([0, 0, Q(1, 2)]))
+        else:
+            additive = tuple(x)
+    elif kind == "zero":
+        values = {c: ZERO for c in coals}
+    else:
+        pool = draw(st.lists(small, min_size=3, max_size=3))
+        values = {c: draw(st.sampled_from(pool)) for c in coals}
+    return TUGame(n, values), additive
+
+
+@given(tu_games())
+@settings(max_examples=250, deadline=None)
+def test_core_matches_the_coverage_row_lp(drawn):
+    game, additive = drawn
+    res = core_nonempty(game)
+    assert type(res) is type(reference_core_nonempty(game))
+    assert isinstance(res, CorePoint) == isinstance(is_balanced_tu(game), Balanced)
+    if isinstance(res, CorePoint):
+        assert all(type(x) is Q for x in res.allocation)
+        assert sum(res.allocation, ZERO) == game.value(game.grand)
+        assert check_core_point(game, res.allocation) == Accept()
+    if additive is not None:
+        assert res == CorePoint(additive)
