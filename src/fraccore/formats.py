@@ -88,6 +88,14 @@ def _reading():
         raise MalformedInput(f"$: {exc}") from exc
 
 
+def _built(make, path, *args):
+    """``make(*args)``, reporting the model's rejection of them at ``path``."""
+    try:
+        return make(*args)
+    except (ValueError, DimensionMismatch) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
+
+
 def _object(obj):
     if not isinstance(obj, dict):
         raise MalformedInput("$: expected an object")
@@ -140,14 +148,16 @@ def game_from_json(obj) -> GeneralizedGame:
         for ui, uobj in enumerate(_object(obj)["utilities"]):
             prims = []
             for pi, pobj in enumerate(uobj["primitives"]):
+                ppath = f"$.utilities[{ui}].primitives[{pi}]"
                 hss = []
                 for hi, hobj in enumerate(pobj["halfspaces"]):
-                    path = f"$.utilities[{ui}].primitives[{pi}].halfspaces[{hi}]"
-                    hss.append(
-                        HalfSpace(_numvec(hobj["a"], path + ".a"), _num(hobj["b"], path + ".b"))
-                    )
-                prims.append(Primitive(tuple(hss)))
-            utilities.append(ComprehensiveSet(tuple(prims)))
+                    path = f"{ppath}.halfspaces[{hi}]"
+                    a, b = _numvec(hobj["a"], path + ".a"), _num(hobj["b"], path + ".b")
+                    hss.append(_built(HalfSpace, path + ".a", a, b))
+                prims.append(_built(Primitive, ppath, tuple(hss)))
+            utilities.append(
+                _built(ComprehensiveSet, f"$.utilities[{ui}].primitives", tuple(prims))
+            )
             if utilities[-1].dim != utilities[0].dim:
                 raise MalformedInput(
                     f"$.utilities[{ui}]: dimension {utilities[-1].dim}, "

@@ -233,18 +233,15 @@ def _violation(utilities, members):
     if the point passes, else the options of the first violated condition,
     one escape row per half-space of a blocking primitive (uplift > 0), or
     the membership rows of each primitive of a member missing the point
-    (every uplift < 0)."""
+    (every uplift < 0).  Only the uplifts' signs are read."""
     members = frozenset(members)
 
     def violation(point):
         for i, u in enumerate(utilities):
-            missed = i in members
-            for p in u.primitives:
-                t = p.uplift(point)
-                if t > ZERO:
-                    return [[_escape_row(h)] for h in p.halfspaces]
-                missed = missed and t < ZERO
-            if missed:
+            signs = u.uplift_signs(point)
+            if 1 in signs:
+                return [[_escape_row(h)] for h in u.primitives[signs.index(1)].halfspaces]
+            if i in members and max(signs) < 0:
                 return [_membership_rows(p) for p in u.primitives]
         return None
 

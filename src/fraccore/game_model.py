@@ -6,48 +6,71 @@ constructions used throughout the package (coalition cylinders, point
 orthants, comprehensive hulls of simplices), is automatically comprehensive,
 and admits a closed form for the best uniform raise ("uplift") of a point,
 which keeps every membership and blocking decision exact.
+
+Each half-space also holds an integer row, computed once at construction:
+its normal and offset times the lcm of their denominators, and the gauge
+(the sum of the scaled normal), which is positive.  Uplift and membership
+scale the point once to integer numerators over one common denominator and
+then decide everything by integer comparisons and cross-multiplication, as
+the elimination kernel in ``linalg`` does.  A rational is built only for a
+returned uplift value, one per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import mul
 
 from .errors import DimensionMismatch
 from .exact_linear import Feasible, LinearSystem, Unbounded, maximize, solve_feasibility
-from .linalg import nullspace
+from .linalg import _clear_denominators, nullspace
 from .rationals import ONE, ZERO, Q, dot, rat, vec
+
+
+def _scaled(x, dim):
+    """(p, d): integer numerators and their positive common denominator, so
+    that x == p / d, after checking the point's length."""
+    if len(x) != dim:
+        raise DimensionMismatch(f"point of dim {len(x)} vs set of dim {dim}")
+    return _clear_denominators(x)
 
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{x : <normal, x> <= offset} with normal >= 0, normal != 0."""
+    """{x : <normal, x> <= offset} with normal >= 0, normal != 0.
+
+    ``row`` is (a, b, g): the normal and offset scaled to integers by one
+    positive factor, and the gauge g = sum(a) > 0.  It is derived data, so
+    equality, hashing and repr ignore it."""
 
     normal: tuple
     offset: "Q"
+    row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normal", vec(self.normal))
         object.__setattr__(self, "offset", rat(self.offset))
-        if any(a < ZERO for a in self.normal):
+        *a, b = _clear_denominators((*self.normal, self.offset))[0]
+        if any(x < 0 for x in a):
             raise ValueError("half-space normal must be componentwise nonnegative")
-        if all(a == ZERO for a in self.normal):
+        if not any(a):
             raise ValueError("half-space normal must be nonzero")
+        object.__setattr__(self, "row", (tuple(a), b, sum(a)))
 
     @property
     def dim(self) -> int:
         return len(self.normal)
 
-    def gauge(self) -> "Q":
-        """<normal, all-ones>; positive by the normal invariants."""
-        return sum(self.normal, ZERO)
-
 
 @dataclass(frozen=True)
 class Primitive:
-    """Closed convex comprehensive cell: the intersection of its half-spaces."""
+    """Closed convex comprehensive cell: the intersection of its half-spaces.
+
+    ``rows`` holds the integer row of each half-space, in order."""
 
     halfspaces: tuple
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
@@ -56,17 +79,35 @@ class Primitive:
         dims = {h.dim for h in self.halfspaces}
         if len(dims) != 1:
             raise DimensionMismatch("half-spaces of mixed dimension in one primitive")
+        object.__setattr__(self, "rows", tuple(h.row for h in self.halfspaces))
 
     @property
     def dim(self) -> int:
         return self.halfspaces[0].dim
 
     def contains(self, x) -> bool:
-        return all(dot(h.normal, x) <= h.offset for h in self.halfspaces)
+        return self._holds(*_scaled(x, self.dim))
 
     def uplift(self, x) -> "Q":
         """max t with x + t*ones inside this cell (finite: gauges are > 0)."""
-        return min((h.offset - dot(h.normal, x)) / h.gauge() for h in self.halfspaces)
+        p, d = _scaled(x, self.dim)
+        s, g = self._slack(p, d)
+        return Q(s, g * d)
+
+    def _holds(self, p, d) -> bool:
+        """Membership of the point p / d (p integer, d > 0)."""
+        return all(sum(map(mul, a, p)) <= b * d for a, b, _ in self.rows)
+
+    def _slack(self, p, d) -> tuple:
+        """(s, g) with uplift s / (g * d) at the point p / d (p integer,
+        d > 0): the least of the rows' (b*d - <a, p>) / g, found by
+        cross-multiplying, since every g is positive."""
+        best = None
+        for a, b, g in self.rows:
+            s = b * d - sum(map(mul, a, p))
+            if best is None or s * best[1] < best[0] * g:
+                best = (s, g)
+        return best
 
 
 @dataclass(frozen=True)
@@ -88,7 +129,22 @@ class ComprehensiveSet:
         return self.primitives[0].dim
 
     def uplift(self, x) -> "Q":
-        return max(p.uplift(x) for p in self.primitives)
+        """The greatest primitive uplift at x, compared by cross-multiplying
+        the primitives' slacks; one rational is built, for the result."""
+        p, d = _scaled(x, self.dim)
+        best = None
+        for prim in self.primitives:
+            s, g = prim._slack(p, d)
+            if best is None or s * best[1] > best[0] * g:
+                best = (s, g)
+        return Q(best[0], best[1] * d)
+
+    def uplift_signs(self, x) -> tuple:
+        """The sign (-1, 0 or 1) of each primitive's uplift at x, in order;
+        no rational is built."""
+        p, d = _scaled(x, self.dim)
+        slacks = (prim._slack(p, d)[0] for prim in self.primitives)
+        return tuple((s > 0) - (s < 0) for s in slacks)
 
     def is_proper(self) -> bool:
         """True iff some point is excluded (exclusion witness constructed).
@@ -166,10 +222,8 @@ def comprehensive_hull(points) -> Primitive:
 
 def contains(cset: ComprehensiveSet, x) -> bool:
     """Exact membership in the union."""
-    x = vec(x)
-    if len(x) != cset.dim:
-        raise DimensionMismatch(f"point of dim {len(x)} vs set of dim {cset.dim}")
-    return any(p.contains(x) for p in cset.primitives)
+    p, d = _scaled(vec(x), cset.dim)
+    return any(prim._holds(p, d) for prim in cset.primitives)
 
 
 def _uplifts(utilities, x) -> list:

@@ -32,10 +32,11 @@ def _eliminate(row, prow, support, p, col, det):
 def _clear_denominators(values):
     """Integers and the positive scale (lcm of the denominators) such that
     values[i] == integers[i] / scale."""
-    scale = lcm(*(x.denominator for x in values))
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = lcm(*[d for _, d in ratios])
     if scale == 1:
-        return [int(x.numerator) for x in values], 1
-    return [int(x.numerator) * (scale // int(x.denominator)) for x in values], scale
+        return [n for n, _ in ratios], 1
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def _reduce(rows, width):

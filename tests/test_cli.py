@@ -339,6 +339,40 @@ def test_hopf_needs_a_label_per_vertex(capsys, tmp_path):
     assert_malformed(capsys, ["hopf", write_json(tmp_path, "s.json", sphere)], "$.labels")
 
 
+def _game_with_halfspaces(tmp_path, halfspaces):
+    game = data_json("example2.json")
+    game["utilities"][1]["primitives"][0]["halfspaces"] = halfspaces
+    return write_json(tmp_path, "game.json", game)
+
+
+def test_negative_normal_names_its_field(capsys, tmp_path):
+    path = _game_with_halfspaces(tmp_path, [{"a": [0, 1, 0], "b": 0}, {"a": [1, -1, 0], "b": 0}])
+    err = assert_malformed(
+        capsys, ["frac-core", path], "$.utilities[1].primitives[0].halfspaces[1].a:"
+    )
+    assert "nonnegative" in err
+
+
+def test_zero_normal_names_its_field(capsys, tmp_path):
+    path = _game_with_halfspaces(tmp_path, [{"a": [0, 0, 0], "b": 1}])
+    err = assert_malformed(
+        capsys, ["frac-core", path], "$.utilities[1].primitives[0].halfspaces[0].a:"
+    )
+    assert "nonzero" in err
+
+
+def test_halfspaces_of_mixed_length_name_their_primitive(capsys, tmp_path):
+    path = _game_with_halfspaces(tmp_path, [{"a": [0, 1, 0], "b": 0}, {"a": [1, 1], "b": 0}])
+    assert_malformed(capsys, ["frac-core", path], "$.utilities[1].primitives[0]:")
+
+
+def test_empty_primitive_list_names_its_field(capsys, tmp_path):
+    game = data_json("example2.json")
+    game["utilities"][1]["primitives"] = []
+    path = write_json(tmp_path, "game.json", game)
+    assert_malformed(capsys, ["frac-core", path], "$.utilities[1].primitives:")
+
+
 @pytest.mark.parametrize(
     "values, key",
     [

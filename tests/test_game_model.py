@@ -1,4 +1,5 @@
 import pytest
+import reference_game_model as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from fraccore.game_model import (
     FirmSystem,
     GeneralizedGame,
     HalfSpace,
+    Primitive,
     coalition_cylinder,
     contains,
     cover_labels,
@@ -312,3 +314,128 @@ def test_ntu_games_compare_by_sets():
 
     assert game(1) != game(2)
     assert game(1) == game(1) and hash(game(1)) == hash(game(1))
+
+
+# ---------------------------------------------------------------------------
+# integer rows against the rational closed forms
+# ---------------------------------------------------------------------------
+
+
+def test_wrong_length_points_raise_dimension_mismatch():
+    prim = point_orthant((1, 2))
+    cset = ComprehensiveSet((prim,))
+    for x in [(0,), (0, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            prim.uplift(x)
+        with pytest.raises(DimensionMismatch):
+            prim.contains(x)
+        with pytest.raises(DimensionMismatch):
+            cset.uplift(x)
+        with pytest.raises(DimensionMismatch):
+            cset.uplift_signs(x)
+
+
+denominators = st.sampled_from((1, 2, 3, 4, 6, 12))
+mixed_rats = st.builds(Q, st.integers(-36, 36), denominators)
+normal_entries = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(1, 12), denominators))
+
+
+@st.composite
+def halfspaces(draw, dim):
+    normal = draw(st.lists(normal_entries, min_size=dim, max_size=dim))
+    if not any(normal):
+        normal[draw(st.integers(0, dim - 1))] = draw(normal_entries.filter(bool))
+    return HalfSpace(tuple(normal), draw(mixed_rats))
+
+
+@st.composite
+def primitives(draw, dim):
+    return Primitive(tuple(draw(st.lists(halfspaces(dim), min_size=1, max_size=3))))
+
+
+def _rescaled(prim, k):
+    """The same cell with every half-space's normal and offset times k."""
+    return Primitive(
+        tuple(HalfSpace(tuple(a * k for a in h.normal), h.offset * k) for h in prim.halfspaces)
+    )
+
+
+@st.composite
+def families_and_points(draw):
+    """Sets in R^1..R^4 with fractional data, a point with mixed denominators,
+    and forced ties: a primitive (and a set) whose uplift at the point equals
+    a drawn primitive's, and duplicated sets, some rescaled."""
+    dim = draw(st.integers(1, 4))
+    x = tuple(draw(st.lists(mixed_rats, min_size=dim, max_size=dim)))
+    sets = [
+        ComprehensiveSet(tuple(draw(st.lists(primitives(dim), min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        # p - R^n_+ with min(p - x) equal to a drawn primitive's uplift at x
+        prim = draw(st.sampled_from(sets[draw(st.integers(0, len(sets) - 1))].primitives))
+        t = ref.primitive_uplift(prim, x)
+        gaps = st.builds(Q, st.integers(0, 12), denominators)
+        w = draw(st.lists(gaps, min_size=dim, max_size=dim))
+        w[draw(st.integers(0, dim - 1))] = Q(0)
+        tied = point_orthant(tuple(c + t + e for c, e in zip(x, w)))
+        i = draw(st.integers(0, len(sets) - 1))
+        sets[i] = ComprehensiveSet((*sets[i].primitives, tied))
+        sets.append(ComprehensiveSet((tied,)))
+    for _ in range(draw(st.integers(0, 2))):
+        dup = draw(st.sampled_from(sets))
+        k = draw(st.sampled_from((Q(1), Q(2), Q(1, 3), Q(7, 4))))
+        sets.append(ComprehensiveSet(tuple(_rescaled(p, k) for p in dup.primitives)))
+    return draw(st.permutations(sets)), x
+
+
+def _sign(q):
+    return (q > 0) - (q < 0)
+
+
+def _agrees_with_reference(fam, x):
+    for u in fam:
+        up = u.uplift(x)
+        assert type(up) is Q and up == ref.set_uplift(u, x)
+        assert contains(u, x) == ref.set_contains(u, x)
+        assert u.uplift_signs(x) == tuple(_sign(ref.primitive_uplift(p, x)) for p in u.primitives)
+        for p in u.primitives:
+            assert p.uplift(x) == ref.primitive_uplift(p, x)
+            assert p.contains(x) == ref.primitive_contains(p, x)
+    assert tau(fam, x) == ref.tau(fam, x)
+    assert cover_labels(fam, x) == ref.cover_labels(fam, x)
+
+
+@given(families_and_points())
+@settings(max_examples=300, deadline=None)
+def test_integer_rows_match_the_rational_closed_forms(case):
+    fam, x = case
+    _agrees_with_reference(fam, x)
+    # x + tau*ones lies on the boundary of every set attaining tau, and
+    # x raised by a primitive's own uplift lies on that primitive's boundary
+    t = ref.tau(fam, x)
+    raised = tuple(c + t for c in x)
+    _agrees_with_reference(fam, raised)
+    for u in fam:
+        for p in u.primitives:
+            y = tuple(c + ref.primitive_uplift(p, x) for c in x)
+            assert p.contains(y) and p.uplift(y) == 0
+
+
+def test_equal_integer_rows_do_not_make_half_spaces_equal():
+    h, k = HalfSpace((Q(1, 2), 1), Q(3, 2)), HalfSpace((1, 2), 3)
+    assert h.row == k.row and h != k
+    assert Primitive((h,)) != Primitive((k,))
+    assert "row" not in repr(h) and "rows" not in repr(Primitive((h,)))
+
+
+@given(halfspaces(2), halfspaces(2))
+@settings(max_examples=300, deadline=None)
+def test_equality_and_hash_read_only_normal_and_offset(h, k):
+    rational = (h.normal, h.offset) == (k.normal, k.offset)
+    assert (h == k) == rational
+    assert (Primitive((h,)) == Primitive((k,))) == rational
+    same = HalfSpace(h.normal, h.offset)
+    assert same == h and hash(same) == hash(h)
+    assert hash(Primitive((same,))) == hash(Primitive((h,)))
+    assert hash(h) == hash((h.normal, h.offset))
