@@ -4,7 +4,8 @@ Every function reads its answer off ``_reduce``: Gauss-Jordan elimination
 of integer rows with Bareiss's integer-preserving step (E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968).  ``exact_linear`` pivots its simplex
-tableau with the same step, so the package has one elimination kernel.
+tableau with the same step and ``topology.degree`` reads its ray crossings
+and firm coordinates off ``_reduce``, so the package has one kernel.
 Each row is scaled to integers once, every division in a step is exact, and
 rationals appear only in the returned values.
 """

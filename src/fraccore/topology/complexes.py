@@ -60,14 +60,6 @@ class SimplicialComplex:
         faces = self.all_faces()
         return sum((-1) ** d * len(fs) for d, fs in faces.items())
 
-    def vertex_link(self, v: int) -> "SimplicialComplex | None":
-        link_facets = tuple(
-            tuple(u for u in f if u != v) for f in self.facets if v in f
-        )
-        if not link_facets:
-            return None
-        return SimplicialComplex(self.num_vertices, link_facets)
-
     def is_connected(self) -> bool:
         adj = {}
         for f in self.facets:
@@ -191,12 +183,14 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     orientable = propagate_orientation(K) is not None if closed else False
     links_ok = None
     if K.dim == 3 and closed:
-        links_ok = True
-        for v in range(K.num_vertices):
-            link = K.vertex_link(v)
-            if link is not None and not _is_closed_surface_sphere(link):
-                links_ok = False
-                break
+        links = {}
+        for f in K.facets:
+            for p, v in enumerate(f):
+                links.setdefault(v, []).append(f[:p] + f[p + 1 :])
+        links_ok = all(
+            _is_closed_surface_sphere(SimplicialComplex(K.num_vertices, link))
+            for link in links.values()
+        )
     return ManifoldReport(
         dim=K.dim,
         pure=True,  # enforced structurally by the constructor

@@ -16,7 +16,7 @@ from itertools import combinations
 from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from ..game_model import FirmSystem, GeneralizedGame, cover_labels
-from ..linalg import affine_basis, det, gaussian_solve, solve_square
+from ..linalg import _reduce
 from ..rationals import ONE, ZERO, Q, rat, vec
 from .complexes import (
     OrientedComplex,
@@ -61,24 +61,38 @@ class BalancedSimplexFound:
 
 
 def _affine_coordinates(fs: FirmSystem, k: int):
-    """Coordinates of v_i - r in a canonical basis of their span.
+    """Coordinates of v_i - r in the greedy basis of their span: the pivot
+    columns of one reduction, read the way ``nullspace`` reads a free column.
 
     The span must have dimension k+1 for a degree on a k-manifold.
     """
     diffs = [tuple(a - b for a, b in zip(v, fs.resource)) for v in fs.firms]
-    basis = [diffs[i - 1] for i in affine_basis((fs.resource, *fs.firms))[1:]]
-    if len(basis) != k + 1:
+    a, pivots, _, _ = _reduce(list(zip(*diffs)), len(diffs))
+    if len(pivots) != k + 1:
         raise DimensionMismatch(
-            f"affine hull of firms and resource has dimension {len(basis)}, "
+            f"affine hull of firms and resource has dimension {len(pivots)}, "
             f"need {k + 1}"
         )
-    cols = list(zip(*basis))  # dim x (k+1)
-    coords = []
-    for d in diffs:
-        sol = gaussian_solve([list(row) for row in cols], list(d))
-        assert sol is not None, "firm vector outside the measured span"
-        coords.append(tuple(sol[0]))
-    return coords
+    return [
+        tuple(Q(row[i], row[c]) for row, c in zip(a, pivots))
+        for i in range(len(diffs))
+    ]
+
+
+def _crossing(cols, ray):
+    """0 when the ray lies in the span of all but one of ``cols`` (re-choose
+    it), None when it misses their cone, else the sign of det(cols).  One
+    reduction of [cols | ray] reads all three: every pivot entry ends equal
+    to one value p, so the ray's coordinates a[i][-1] / p need signs only."""
+    a, pivots, d, _ = _reduce([[*row, r] for row, r in zip(zip(*cols), ray)], len(ray))
+    if len(pivots) < len(ray):
+        return None if any(row[-1] for row in a[len(pivots) :]) else 0
+    p = a[0][pivots[0]]
+    if any(row[-1] == 0 for row in a):
+        return 0
+    if all((row[-1] > 0) == (p > 0) for row in a):
+        return 1 if d > 0 else -1
+    return None
 
 
 def _ray_candidates(k: int):
@@ -115,23 +129,13 @@ def pl_degree(lc: LabeledCover):
     normalizer = (-1) ** (k + 1)
     for ray in _ray_candidates(k):
         total = 0
-        degenerate = False
         for facet, sign in zip(K.facets, oc.orientation):
-            cols = [coords[chosen[u]] for u in facet]
-            matrix = [[cols[j][row] for j in range(k + 1)] for row in range(k + 1)]
-            sol = solve_square(matrix, list(ray))
-            if sol is None:
-                # degenerate image simplex: fine unless the ray meets its span
-                if gaussian_solve(matrix, list(ray)) is not None:
-                    degenerate = True
-                    break
-                continue
-            if any(c == ZERO for c in sol):
-                degenerate = True
+            crossing = _crossing([coords[chosen[u]] for u in facet], ray)
+            if crossing == 0:
                 break
-            if all(c > ZERO for c in sol):
-                total += sign * (1 if det(matrix) > ZERO else -1)
-        if not degenerate:
+            if crossing:
+                total += sign * crossing
+        else:
             return Degree(normalizer * total)
     raise AssertionError("unreachable: ray search always terminates")
 

@@ -3,14 +3,14 @@
 A balanced facet is one whose vertex-label union admits convex balancing
 weights.  The index of a connected component of balanced facets is the
 degree of the labeled cover restricted to the boundary sphere of the
-component's simplicial neighborhood (closed star in the barycentric
-subdivision), which stands in for a small smooth collar.
+component's simplicial neighborhood, which stands in for a small smooth
+collar: the closed star of the component in the barycentric subdivision of
+its star, the facets that share a vertex with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from ..balance import balance_test
 from ..errors import BoundaryTouchesBalanced, NotIsolated
@@ -62,61 +62,59 @@ def balanced_components(lc: LabeledCover):
 
 def component_index(lc: LabeledCover, component) -> int:
     """Degree of the cover on the boundary of the component's neighborhood."""
-    sub = barycentric_subdivision(lc.oriented)
-    return _component_index(lc, sub, set(balanced_facet_indices(lc)), component)
+    return _component_indices(lc, [frozenset(component)])[0]
 
 
-def _component_index(lc: LabeledCover, sub, balanced, component) -> int:
-    """``component_index`` given the whole complex's subdivision and the
-    set of balanced facet indices."""
-    component = frozenset(component)
+def _component_indices(lc: LabeledCover, components):
+    """The components' indices, from one subdivision of the union of their
+    stars.  A neighborhood lies in its component's star and meets every star
+    facet, so it avoids the other balanced facets exactly when the star does."""
     facets = lc.oriented.complex.facets
-    if not component <= balanced:
-        raise ValueError("component contains non-balanced facets")
-    comp_faces = set()
-    for idx in component:
-        f = facets[idx]
-        for size in range(1, len(f) + 1):
-            comp_faces.update(combinations(f, size))
+    balanced = set(balanced_facet_indices(lc))
+    stars = set()
+    for component in components:
+        if not component:
+            raise ValueError("a component needs at least one facet")
+        if not component <= balanced:
+            raise ValueError("component contains non-balanced facets")
+        verts = set().union(*(facets[idx] for idx in component))
+        star = {idx for idx, f in enumerate(facets) if verts.intersection(f)}
+        touched = sorted(star & (balanced - component))
+        if touched:
+            raise NotIsolated(f"neighborhood touches balanced facet {facets[touched[0]]}")
+        stars |= star
+    if not stars:
+        return []
+    stars = sorted(stars)
+    sub = barycentric_subdivision(
+        OrientedComplex(
+            SimplicialComplex(len(lc.labels), tuple(facets[i] for i in stars)),
+            tuple(lc.oriented.orientation[i] for i in stars),
+        )
+    )
     sd = sub.oriented
     carriers = sub.carriers
-    # the neighborhood: subdivision facets meeting the component's faces
-    marked = {w for w, face in enumerate(carriers) if face in comp_faces}
-    in_n = [i for i, f in enumerate(sd.complex.facets) if any(w in marked for w in f)]
-    # the neighborhood must avoid every other balanced facet's territory:
-    # each subdivision facet sits inside exactly one original facet (the top
-    # of its flag)
-    position = {f: idx for idx, f in enumerate(facets)}
-    for i in in_n:
-        flag_faces = [carriers[w] for w in sd.complex.facets[i]]
-        owner = position[max(flag_faces, key=len)]
-        if owner in balanced and owner not in component:
-            raise NotIsolated(
-                f"neighborhood touches balanced facet {facets[owner]}"
-            )
-    n_complex = SimplicialComplex(
-        sd.complex.num_vertices, tuple(sd.complex.facets[i] for i in in_n)
-    )
-    n_oriented = OrientedComplex(
-        n_complex, tuple(sd.orientation[i] for i in in_n)
-    )
-    rim = boundary_complex(n_oriented)
-    for f in rim.complex.facets:
-        if any(w in marked for w in f):
+    labels = tuple(frozenset().union(*(lc.labels[v] for v in face)) for face in carriers)
+    indices = []
+    for component in components:
+        comp = SimplicialComplex(len(lc.labels), tuple(facets[i] for i in component))
+        comp_faces = set().union(*comp.all_faces().values())
+        # the neighborhood: subdivision facets meeting the component's faces
+        marked = {w for w, face in enumerate(carriers) if face in comp_faces}
+        in_n = [i for i, f in enumerate(sd.facets) if any(w in marked for w in f)]
+        n_complex = SimplicialComplex(len(carriers), tuple(sd.facets[i] for i in in_n))
+        rim = boundary_complex(OrientedComplex(n_complex, tuple(sd.orientation[i] for i in in_n)))
+        if any(w in marked for f in rim.facets for w in f):
             raise BoundaryTouchesBalanced(
                 "component reaches the boundary of its own neighborhood"
             )
-    labels = []
-    for w in range(sd.complex.num_vertices):
-        face = carriers[w]
-        labels.append(frozenset().union(*(lc.labels[v] for v in face)))
-    rim_cover = LabeledCover(rim, tuple(labels), lc.firm_system)
-    res = pl_degree(rim_cover)
-    if isinstance(res, BalancedSimplexFound):
-        raise BoundaryTouchesBalanced(
-            f"balanced simplex {res.facet} on the neighborhood boundary"
-        )
-    return res.value
+        res = pl_degree(LabeledCover(rim, labels, lc.firm_system))
+        if isinstance(res, BalancedSimplexFound):
+            raise BoundaryTouchesBalanced(
+                f"balanced simplex {res.facet} on the neighborhood boundary"
+            )
+        indices.append(res.value)
+    return indices
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,10 @@ def index_sum_check(lc: LabeledCover) -> IndexSumReport:
     rim = boundary_complex(lc.oriented)
     rim_cover = LabeledCover(rim, lc.labels, lc.firm_system)
     boundary_degree = pl_degree(rim_cover)
-    sub = barycentric_subdivision(lc.oriented)
-    balanced = set(balanced_facet_indices(lc))
+    components = balanced_components(lc)
     indexed = tuple(
-        (tuple(sorted(c)), _component_index(lc, sub, balanced, c))
-        for c in balanced_components(lc)
+        (tuple(sorted(c)), ix)
+        for c, ix in zip(components, _component_indices(lc, components))
     )
     matches = isinstance(boundary_degree, Degree) and boundary_degree.value == sum(
         ix for _, ix in indexed

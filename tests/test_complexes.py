@@ -111,3 +111,11 @@ def test_validation_cap_on_dimension():
     K = SimplicialComplex(6, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5)))
     with pytest.raises(NotClosedManifold):
         validate_closed_manifold(K)
+
+
+def test_suspended_projective_plane_fails_the_link_check():
+    # every ridge lies in two facets, but the two cone points have RP^2 links
+    facets = tuple(f + (apex,) for f in RP2_FACETS for apex in (6, 7))
+    rep = validate_closed_manifold(SimplicialComplex(8, facets))
+    assert rep.closed and rep.connected and not rep.orientable
+    assert rep.links_ok is False and not rep.ok

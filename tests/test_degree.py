@@ -306,3 +306,128 @@ def test_pl_degree_invariant_under_relabelling(index, data):
         assert balance_test(lc.firm_system, "convex")(chosen)
     else:
         assert after == before
+
+
+# ---------------------------------------------------------------------------
+# one reduction per image simplex, against the public linalg calls
+# ---------------------------------------------------------------------------
+
+# zero-heavy entries: integers of both signs and non-integers
+entries = st.one_of(
+    st.just(Q(0)),
+    st.integers(-4, 4).map(Q),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 6)),
+)
+positive = st.one_of(st.integers(1, 4).map(Q), st.builds(Q, st.integers(1, 9), st.integers(1, 6)))
+# column entries: zeros only as often as the integers and fractions give them
+values = st.one_of(st.integers(-4, 4).map(Q), st.builds(Q, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def _combination(coeffs, cols):
+    return [sum((c * col[r] for c, col in zip(coeffs, cols)), Q(0)) for r in range(len(cols[0]))]
+
+
+@st.composite
+def image_simplices(draw):
+    """Columns and a ray in R^n, n = 1..4, with singular, repeated and
+    rank-deficient columns and rays on a face or inside a singular span
+    forced often, not left to chance."""
+    n = draw(st.integers(1, 4))
+    cols = [[draw(values) for _ in range(n)] for _ in range(n)]
+    if n > 1:
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        shape = draw(st.sampled_from(["free", "repeated", "combined", "zero"]))
+        if shape == "repeated":
+            cols[i] = list(cols[j])
+        elif shape == "combined":
+            cols[i] = _combination((draw(entries), draw(entries)), (cols[j], cols[k]))
+        elif shape == "zero":
+            cols[i] = [Q(0)] * n
+    ray_kind = draw(st.sampled_from(["free", "interior", "face", "span"]))
+    if ray_kind == "free":
+        ray = [draw(entries) for _ in range(n)]
+    else:
+        coeff = {"interior": positive, "face": st.one_of(st.just(Q(0)), positive), "span": entries}
+        coeffs = [draw(coeff[ray_kind]) for _ in range(n)]
+        if ray_kind == "face":
+            coeffs[draw(st.integers(0, n - 1))] = Q(0)
+        ray = _combination(coeffs, cols)
+    return cols, ray
+
+
+@given(image_simplices())
+@settings(max_examples=400, deadline=None)
+def test_crossing_matches_the_three_call_classification(case):
+    from reference_degree import crossing
+
+    from fraccore.topology.degree import _crossing
+
+    cols, ray = case
+    assert repr(_crossing(cols, ray)) == repr(crossing(cols, ray))
+
+
+@st.composite
+def firm_systems(draw):
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    firms = [[draw(entries) for _ in range(d)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        firms[i] = _combination((draw(entries), draw(entries)), (firms[j], firms[k]))
+    resource = [draw(entries) for _ in range(d)]
+    if draw(st.booleans()):
+        firms[draw(st.integers(0, m - 1))] = list(resource)
+    return FirmSystem(firms=firms, resource=resource), draw(st.integers(0, 3))
+
+
+def _coordinates_or_error(fn, fs, k):
+    try:
+        return repr(fn(fs, k))
+    except DimensionMismatch as exc:
+        return str(exc)
+
+
+@given(firm_systems())
+@settings(max_examples=200, deadline=None)
+def test_affine_coordinates_match_affine_basis_and_per_firm_solves(case):
+    from reference_degree import affine_coordinates
+
+    from fraccore.topology.degree import _affine_coordinates
+
+    fs, k = case
+    assert _coordinates_or_error(_affine_coordinates, fs, k) == _coordinates_or_error(
+        affine_coordinates, fs, k
+    )
+
+
+@pytest.mark.parametrize(
+    "cover,tried",
+    [
+        # the first ray (1, ..., 1) meets a face at the first facet
+        (lambda: identity_cover(1), 1 + 3),
+        (lambda: identity_cover(2), 1 + 4),
+        (lambda: identity_cover(3), 1 + 5),
+        # ... and at the seventh facet of this Sperner cover
+        (lambda: _fixture_covers()[3], 7 + 24),
+        # a balanced facet is returned before any ray is tried
+        (lambda: _fixture_covers()[6], 0),
+    ],
+    ids=["identity-1", "identity-2", "identity-3", "sperner", "balanced"],
+)
+def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
+    from fraccore import linalg
+    from fraccore.topology import degree
+
+    lc = cover()
+    calls = []
+    reduce = linalg._reduce
+
+    def counting(rows, width):
+        calls.append(width)
+        return reduce(rows, width)
+
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    monkeypatch.setattr(degree, "_reduce", counting, raising=False)
+    pl_degree(lc)
+    # one reduction for the firm coordinates, one per facet per ray tried
+    assert len(calls) == 1 + tried

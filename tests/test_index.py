@@ -149,3 +149,52 @@ def test_index_sum_invariant_under_relabelling(index, data):
         for comp, ix in components.items()
     }
     assert _by_facet(moved, index_sum_check(moved)) == (boundary, images, matches)
+
+
+# ---------------------------------------------------------------------------
+# one subdivision of the components' stars
+# ---------------------------------------------------------------------------
+
+
+def _recording(monkeypatch):
+    from fraccore.topology import index
+
+    calls = []
+    subdivide = index.barycentric_subdivision
+
+    def recording(oc):
+        calls.append(oc)
+        return subdivide(oc)
+
+    monkeypatch.setattr(index, "barycentric_subdivision", recording)
+    return calls
+
+
+def test_index_sum_check_subdivides_the_components_stars(monkeypatch):
+    lc = two_bubble_cover(1, -1)
+    facets = lc.oriented.complex.facets
+    comps = balanced_components(lc)
+    verts = {v for c in comps for idx in c for v in facets[idx]}
+    stars = [idx for idx, f in enumerate(facets) if verts.intersection(f)]
+    assert len(comps) == 2 and len(stars) < len(facets)
+    calls = _recording(monkeypatch)
+    index_sum_check(lc)
+    assert [(oc.facets, oc.orientation) for oc in calls] == [
+        (
+            tuple(facets[idx] for idx in stars),
+            tuple(lc.oriented.orientation[idx] for idx in stars),
+        )
+    ]
+
+
+def test_index_sum_check_without_balanced_facets_subdivides_nothing(monkeypatch):
+    lc = _two_ring_cover(frozenset({0}))
+    calls = _recording(monkeypatch)
+    rep = index_sum_check(lc)
+    assert rep.components == () and rep.sum_matches
+    assert calls == []
+
+
+def test_empty_component_rejected():
+    with pytest.raises(ValueError, match="a component needs at least one facet"):
+        component_index(single_bubble_cover(1), frozenset())
