@@ -17,7 +17,7 @@ from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from ..game_model import FirmSystem, GeneralizedGame, cover_labels
 from ..linalg import _reduce
-from ..rationals import ONE, ZERO, Q, rat, vec
+from ..rationals import ZERO, Q, rat, vec
 from .complexes import (
     OrientedComplex,
     SimplicialComplex,
@@ -96,7 +96,7 @@ def _crossing(cols, ray):
 
 
 def _ray_candidates(k: int):
-    s = 1
+    s = 2
     while True:
         yield tuple(rat(s) ** p for p in range(k + 1))
         s += 1
@@ -106,9 +106,11 @@ def pl_degree(lc: LabeledCover):
     """Exact degree of the label-induced chordal map, or a balanced facet.
 
     Needs a closed coherently oriented complex.  The crossing ray is chosen
-    from a deterministic moment-curve sequence and re-chosen until every
-    facet is transversal (bad directions lie on finitely many hyperplanes,
-    which the moment curve meets finitely often).
+    from a deterministic moment-curve sequence (1, s, ..., s^k) and
+    re-chosen until every facet is transversal (bad directions lie on
+    finitely many hyperplanes, which the moment curve meets finitely often).
+    The curve starts at s = 2: s = 1 gives (1, ..., 1), which lies on the
+    symmetric faces of identity and Sperner covers and so forces a retry.
     """
     oc = lc.oriented
     K = oc.complex
@@ -140,14 +142,21 @@ def pl_degree(lc: LabeledCover):
     raise AssertionError("unreachable: ray search always terminates")
 
 
-def rainbow_simplices(lc: LabeledCover, mode: str = "cone"):
-    """Facets whose vertex-label union contains a balanced firm subset."""
+def _balanced_facets(lc: LabeledCover, mode: str):
+    """Indices of the facets whose vertex-label union contains a balanced
+    firm subset."""
     balanced = balance_test(lc.firm_system, mode)
     return [
-        facet
-        for facet in lc.oriented.complex.facets
+        idx
+        for idx, facet in enumerate(lc.oriented.complex.facets)
         if balanced(frozenset().union(*(lc.labels[u] for u in facet)))
     ]
+
+
+def rainbow_simplices(lc: LabeledCover, mode: str = "cone"):
+    """Facets whose vertex-label union contains a balanced firm subset."""
+    facets = lc.oriented.complex.facets
+    return [facets[idx] for idx in _balanced_facets(lc, mode)]
 
 
 def subdivide_cover(lc: LabeledCover) -> LabeledCover:
@@ -224,78 +233,55 @@ def _subdivide_with_positions(oc: OrientedComplex, positions, depth: int):
 
 
 def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
-    """Triangulated boundary of a cube in d = n_coords - 1 frame coords."""
+    """Triangulated boundary of a cube in d = n_coords - 1 frame coords,
+    oriented by propagation from its first facet."""
     d = n_coords - 1
     if d not in (2, 3):
         raise DimensionMismatch("cube regions support payoff dimensions 3 and 4")
     steps = 2**depth
-    frame = []
-    for i in range(d):
-        u = [ZERO] * n_coords
-        u[i] = ONE
-        u[-1] = -ONE
-        frame.append(tuple(u))
-
-    def position(coeffs):
-        pos = list(center)
-        for c, u in zip(coeffs, frame):
-            for j in range(n_coords):
-                pos[j] += halfwidth * c * u[j]
-        return tuple(pos)
-
     verts = {}
     positions = []
 
     def vid(coeffs):
-        key = tuple(coeffs)
-        if key not in verts:
-            verts[key] = len(positions)
-            positions.append(position(key))
-        return verts[key]
+        # grid coefficient c_i moves along the frame vector e_i - e_last
+        if coeffs not in verts:
+            verts[coeffs] = len(positions)
+            pos = list(center)
+            for i, c in enumerate(coeffs):
+                pos[i] += halfwidth * c
+                pos[-1] -= halfwidth * c
+            positions.append(tuple(pos))
+        return verts[coeffs]
 
-    facets = []
-    grid = [rat(-1) + rat(2 * t) / steps for t in range(steps + 1)]
+    grid = [rat(2 * t - steps) / steps for t in range(steps + 1)]
+    lo, hi = grid[0], grid[-1]
     if d == 2:
-        # the four sides of a square, oriented as one counterclockwise cycle
-        path = []
-        for t in range(steps):
-            path.append((grid[t], rat(-1)))
-        for t in range(steps):
-            path.append((rat(1), grid[t]))
-        for t in range(steps):
-            path.append((grid[steps - t], rat(1)))
-        for t in range(steps):
-            path.append((rat(-1), grid[steps - t]))
-        ids = [vid(c) for c in path]
-        m = len(ids)
-        signs = []
-        for a in range(m):
-            u, w = ids[a], ids[(a + 1) % m]
-            facets.append((u, w))
-            signs.append(1 if u < w else -1)
-        return (
-            OrientedComplex(
-                SimplicialComplex(len(positions), tuple(facets)), tuple(signs)
-            ),
-            positions,
+        # the four sides of a square as one closed path
+        path = (
+            [(g, lo) for g in grid[:-1]]
+            + [(hi, g) for g in grid[:-1]]
+            + [(g, hi) for g in grid[:0:-1]]
+            + [(lo, g) for g in grid[:0:-1]]
         )
-    # d == 3: six faces, each a triangulated grid; orientation fixed by
-    # propagation afterwards (cube surface is connected and orientable)
-    for axis in range(3):
-        for side in (-1, 1):
-            for a in range(steps):
-                for b in range(steps):
-                    corners = []
-                    for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                        c = [None] * 3
-                        c[axis] = rat(side)
-                        c[(axis + 1) % 3] = grid[a + da]
-                        c[(axis + 2) % 3] = grid[b + db]
-                        corners.append(vid(tuple(c)))
-                    facets.append(tuple(sorted((corners[0], corners[1], corners[2]))))
-                    facets.append(tuple(sorted((corners[0], corners[2], corners[3]))))
-    K = SimplicialComplex(len(positions), tuple(facets))
-    oc = propagate_orientation(K)
+        ids = [vid(c) for c in path]
+        facets = list(zip(ids, ids[1:] + ids[:1]))
+    else:
+        # six faces, each a grid of squares cut into two triangles
+        facets = []
+        for axis in range(3):
+            for side in (lo, hi):
+                for a in range(steps):
+                    for b in range(steps):
+                        corners = []
+                        for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                            c = [side] * 3
+                            c[(axis + 1) % 3] = grid[a + da]
+                            c[(axis + 2) % 3] = grid[b + db]
+                            corners.append(vid(tuple(c)))
+                        p, q, r, s = corners
+                        facets += [(p, q, r), (p, r, s)]
+    # a connected closed surface or cycle: coherent from its first facet
+    oc = propagate_orientation(SimplicialComplex(len(positions), tuple(facets)))
     assert oc is not None
     return oc, positions
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..balance import balance_test
 from ..errors import BoundaryTouchesBalanced, NotIsolated
 from .complexes import (
     OrientedComplex,
@@ -20,16 +19,11 @@ from .complexes import (
     barycentric_subdivision,
     boundary_complex,
 )
-from .degree import BalancedSimplexFound, Degree, LabeledCover, pl_degree
+from .degree import BalancedSimplexFound, Degree, LabeledCover, _balanced_facets, pl_degree
 
 
 def balanced_facet_indices(lc: LabeledCover):
-    balanced = balance_test(lc.firm_system, "convex")
-    return [
-        idx
-        for idx, facet in enumerate(lc.oriented.complex.facets)
-        if balanced(frozenset().union(*(lc.labels[u] for u in facet)))
-    ]
+    return _balanced_facets(lc, "convex")
 
 
 def balanced_components(lc: LabeledCover):
@@ -62,15 +56,16 @@ def balanced_components(lc: LabeledCover):
 
 def component_index(lc: LabeledCover, component) -> int:
     """Degree of the cover on the boundary of the component's neighborhood."""
-    return _component_indices(lc, [frozenset(component)])[0]
+    balanced = frozenset(balanced_facet_indices(lc))
+    return _component_indices(lc, [frozenset(component)], balanced)[0]
 
 
-def _component_indices(lc: LabeledCover, components):
+def _component_indices(lc: LabeledCover, components, balanced):
     """The components' indices, from one subdivision of the union of their
-    stars.  A neighborhood lies in its component's star and meets every star
-    facet, so it avoids the other balanced facets exactly when the star does."""
+    stars.  ``balanced`` is the set of all balanced facet indices.  A
+    neighborhood lies in its component's star and meets every star facet,
+    so it avoids the other balanced facets exactly when the star does."""
     facets = lc.oriented.complex.facets
-    balanced = set(balanced_facet_indices(lc))
     stars = set()
     for component in components:
         if not component:
@@ -130,9 +125,11 @@ def index_sum_check(lc: LabeledCover) -> IndexSumReport:
     rim_cover = LabeledCover(rim, lc.labels, lc.firm_system)
     boundary_degree = pl_degree(rim_cover)
     components = balanced_components(lc)
+    # every balanced facet lies in exactly one component
+    balanced = frozenset().union(*components)
     indexed = tuple(
         (tuple(sorted(c)), ix)
-        for c, ix in zip(components, _component_indices(lc, components))
+        for c, ix in zip(components, _component_indices(lc, components, balanced))
     )
     matches = isinstance(boundary_degree, Degree) and boundary_degree.value == sum(
         ix for _, ix in indexed

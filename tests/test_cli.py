@@ -6,14 +6,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fraccore import balance, frac_core
+from fraccore import balance, frac_core, gallery, tu_solver
 from fraccore.cli import _build_parser, main
 from fraccore.formats import (
+    complex_from_json,
     cover_from_json,
     cover_to_json,
+    firm_system_from_json,
     game_from_json,
+    game_to_json,
+    rational_vector_json,
     serialize,
     tu_from_json,
+)
+from fraccore.rationals import rat_json
+from fraccore.topology import (
+    CubeRegion,
+    Degree,
+    closed_star_cover,
+    hopf_invariant,
+    index_sum_check,
+    induce_labeling,
+    pl_degree,
+    propagate_orientation,
+    rainbow_simplices,
 )
 
 
@@ -551,3 +567,262 @@ def test_cap_defaults_are_the_library_constants():
         assert getattr(args, "firm_cap", None) == firm_cap
         assert getattr(args, "node_cap", None) == node_cap
     assert frac_core.DEFAULT_SUBSET_CAP == balance.DEFAULT_FIRM_CAP
+
+
+# ---------------------------------------------------------------------------
+# each verdict of each command, checked against the library call
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "subset, mode, weights",
+    [
+        ((1, 0), "convex", balance.convex_balancing_weights),
+        ((0, 3), "cone", balance.balancing_weights),
+    ],
+)
+def test_balance_check_not_balanced(capsys, subset, mode, weights):
+    fs = firm_system_from_json(data_json("symmetric-s1.json"))
+    argv = ["--input", data_path("symmetric-s1.json"), "--subset", json.dumps(subset)]
+    code, rep = run_cli(capsys, "balance", "check", *argv, "--mode", mode)
+    assert weights(subset, fs) is None
+    details = {"subset": list(subset)}
+    assert (code, rep["verdict"], rep["details"]) == (0, "not-balanced", details)
+
+
+@pytest.mark.parametrize(
+    "firms, verdict",
+    [([[2, 1], [1, 2], [0, 1], [1, 0]], "computed"), ([[1, 0], [-1, 1]], "not-convexifiable")],
+)
+def test_balance_convexify(capsys, tmp_path, firms, verdict):
+    doc = {"firms": firms, "resource": [1, 1]}
+    argv = ["balance", "convexify", "--input", write_json(tmp_path, "fs.json", doc)]
+    code, rep = run_cli(capsys, *argv)
+    out = balance.convexify(firm_system_from_json(doc))
+    if isinstance(out, balance.NotConvexifiable):
+        details = {"firm_index": out.firm_index}
+    else:
+        details = {
+            "firms": [rational_vector_json(v) for v in out.firms],
+            "resource": rational_vector_json(out.resource),
+        }
+    assert (code, rep["verdict"], rep["details"]) == (0, verdict, details)
+
+
+@pytest.mark.parametrize(
+    "other, verdict",
+    [
+        # positive rescaling keeps every cone-balanced subset
+        ([[4, 2], [2, 4], [0, 3], [5, 0]], "equivalent"),
+        # {2, 3} balances (1, 1) only while the last firm points along +x
+        ([[2, 1], [1, 2], [0, 1], [-1, 0]], "differs"),
+    ],
+)
+def test_balance_equivalent(capsys, tmp_path, other, verdict):
+    first = {"firms": [[2, 1], [1, 2], [0, 1], [1, 0]], "resource": [1, 1]}
+    second = {"firms": other, "resource": [1, 1]}
+    a, b = write_json(tmp_path, "a.json", first), write_json(tmp_path, "b.json", second)
+    code, rep = run_cli(capsys, "balance", "equivalent", "--input", a, "--other", b)
+    res = balance.same_balanced_subsets(
+        firm_system_from_json(first), firm_system_from_json(second), "cone"
+    )
+    details = {} if isinstance(res, balance.Equivalent) else {"witness_subset": list(res.witness)}
+    assert (code, rep["verdict"], rep["details"]) == (0, verdict, details)
+
+
+@pytest.mark.parametrize(
+    "point, coalition",
+    [
+        # efficient, but players 2 and 3 get -35 < v({2, 3}) = -32
+        ((0, -15, -20), [2, 3]),
+        # not efficient, so no coalition is named
+        ((0, 0, 0), None),
+    ],
+)
+def test_tu_core_rejects_a_point(capsys, point, coalition):
+    game = tu_from_json(data_json("example1.json"))
+    argv = ["tu-core", data_path("example1.json"), "--check-point", json.dumps(point)]
+    code, rep = run_cli(capsys, *argv)
+    check = tu_solver.check_core_point(game, point)
+    assert isinstance(check, tu_solver.Reject)
+    assert code == 0 and rep["verdict"] == "nonempty"
+    assert rep["details"]["check_point"] == {
+        "verdict": "reject",
+        "coalition": coalition,
+        "reason": check.reason,
+    }
+
+
+def test_tu_balanced_balanced(capsys):
+    res = tu_solver.is_balanced_tu(tu_from_json(data_json("example1.json")))
+    code, rep = run_cli(capsys, "tu-balanced", data_path("example1.json"))
+    assert isinstance(res, tu_solver.Balanced)
+    details = {"optimum": rat_json(res.optimum)}
+    assert (code, rep["verdict"], rep["details"]) == (0, "balanced", details)
+
+
+def _embedded_modified(tmp_path):
+    game = frac_core.embed_coalitional(gallery.loss_sharing_tu_modified())
+    return game, write_json(tmp_path, "embedded.json", game_to_json(game))
+
+
+def test_core_empty(capsys, tmp_path):
+    game, path = _embedded_modified(tmp_path)
+    code, rep = run_cli(capsys, "core", path)
+    assert isinstance(frac_core.core_solve(game), frac_core.Empty)
+    assert (code, rep["verdict"], rep["details"]) == (0, "empty", {})
+
+
+def _union_target_game():
+    from fraccore.game_model import ComprehensiveSet, FirmSystem, GeneralizedGame, point_orthant
+
+    u = ComprehensiveSet((point_orthant((0, 0)), point_orthant((1, -1))))
+    return GeneralizedGame((u,), FirmSystem(firms=[(1, 1)], resource=(1, 1)), distinguished=0)
+
+
+@pytest.mark.parametrize("case", ["balanced", "violated", "unsupported"])
+def test_game_balanced_verdicts(capsys, tmp_path, case):
+    if case == "balanced":
+        path = data_path("example1-embedded.json")
+        game = game_from_json(data_json("example1-embedded.json"))
+    elif case == "violated":
+        game, path = _embedded_modified(tmp_path)
+    else:
+        game = _union_target_game()
+        path = write_json(tmp_path, "union.json", game_to_json(game))
+    code, rep = run_cli(capsys, "game-balanced", path)
+    res = frac_core.is_balanced_game(game)
+    details = {
+        "balanced": lambda: {},
+        "unsupported": lambda: {"reason": res.reason},
+        "violated": lambda: {"subset": list(res.subset), "point": rational_vector_json(res.point)},
+    }[case]()
+    assert (code, rep["verdict"], rep["details"]) == (0, case, details)
+
+
+@pytest.mark.parametrize(
+    "data, center, halfwidth, verdict",
+    [
+        ("example1-embedded.json", "[-8, -12, -15]", "5", "degree"),
+        ("symmetric-s2.json", "[1, 1, 1, -3]", "1", "degree"),
+        ("symmetric-s2.json", "[0, 0, 0, 0]", "1", "balanced-simplex"),
+    ],
+)
+def test_induce_cube_cover_and_degree(capsys, tmp_path, data, center, halfwidth, verdict):
+    argv = ["--region", "cube", "--center", center, "--halfwidth", halfwidth, "--depth", "1"]
+    code = main(["induce-cover", data_path(data), *argv])
+    out = capsys.readouterr().out
+    region = CubeRegion(tuple(json.loads(center)), halfwidth)
+    lc = induce_labeling(game_from_json(data_json(data)), region, 1)
+    assert code == 0 and out == serialize(cover_to_json(lc))
+    path = tmp_path / "cover.json"
+    path.write_text(out)
+    code, rep = run_cli(capsys, "degree", str(path))
+    res = pl_degree(lc)
+    if isinstance(res, Degree):
+        details = {"value": res.value}
+    else:
+        details = {"facet": list(res.facet)}
+    assert (code, rep["verdict"], rep["details"]) == (0, verdict, details)
+
+
+@pytest.mark.parametrize("mode", ["cone", "convex"])
+def test_rainbow(capsys, tmp_path, mode):
+    lc = gallery.two_bubble_cover(1, -1)
+    path = write_json(tmp_path, "cover.json", cover_to_json(lc))
+    code, rep = run_cli(capsys, "rainbow", path, "--mode", mode)
+    facets = [list(f) for f in rainbow_simplices(lc, mode)]
+    assert facets
+    assert (code, rep["verdict"], rep["details"]) == (
+        0,
+        "computed",
+        {"count": len(facets), "facets": facets},
+    )
+
+
+def test_index_sum(capsys, tmp_path):
+    lc = gallery.two_bubble_cover(1, -1)
+    code, rep = run_cli(capsys, "index-sum", write_json(tmp_path, "cover.json", cover_to_json(lc)))
+    report = index_sum_check(lc)
+    assert report.sum_matches
+    assert (code, rep["verdict"], rep["details"]) == (
+        0,
+        "consistent",
+        {
+            "boundary": {"degree": report.boundary_degree.value},
+            "components": [{"facets": list(f), "index": ix} for f, ix in report.components],
+        },
+    )
+
+
+def test_hopf_derives_a_missing_orientation(capsys, tmp_path):
+    doc = data_json("sphere-asset.json")
+    del doc["orientation"]
+    code, rep = run_cli(capsys, "hopf", write_json(tmp_path, "s.json", doc))
+    oc, labels = complex_from_json(doc)
+    assert oc == propagate_orientation(oc.complex)
+    value = hopf_invariant(oc, [min(ls) for ls in labels])
+    assert (code, rep["verdict"], rep["details"]) == (0, "computed", {"hopf_invariant": value})
+
+
+def test_examples_against_the_library(capsys):
+    from fraccore.topology.s3_12 import load
+
+    expected = {}
+    tu = gallery.loss_sharing_tu()
+    expected["example1"] = {
+        "tu_core": "nonempty",
+        "core_point": rational_vector_json(tu_solver.core_nonempty(tu).allocation),
+        "worked_allocation_accepted": True,
+        "tu_balanced": True,
+        "generalized_core": "nonempty",
+    }
+    for name, game in (
+        ("symmetric-s1", gallery.symmetric_pairs_game_s1()),
+        ("symmetric-s2", gallery.symmetric_pairs_game_s2()),
+    ):
+        res = frac_core.fractional_core_solve(game)
+        verdict = "nonempty" if isinstance(res, frac_core.Nonempty) else "empty"
+        expected[name] = {"fractional_core": verdict}
+    expected["two-bubbles"] = {}
+    for pair in ((1, 1), (1, -1), (-1, -1)):
+        rep = index_sum_check(gallery.two_bubble_cover(*pair))
+        expected["two-bubbles"]["%+d%+d" % pair] = {
+            "boundary_degree": rep.boundary_degree.value,
+            "indices": [ix for _, ix in rep.components],
+            "matches": rep.sum_matches,
+        }
+    oc, coloring = load()
+    hopf_game = game_from_json(data_json("hopf-game.json"))
+    fs = hopf_game.firm_system
+    expected["hopf"] = {
+        "asset_valid": True,
+        "vertices": oc.complex.num_vertices,
+        "facets": len(oc.complex.facets),
+        "rainbow_facets": len(rainbow_simplices(closed_star_cover(oc, coloring, fs), "cone")),
+        "hopf_invariant": hopf_invariant(oc, coloring),
+        "fractional_core": "nonempty"
+        if isinstance(frac_core.fractional_core_solve(hopf_game), frac_core.Nonempty)
+        else "empty",
+    }
+    for name, details in expected.items():
+        code, rep = run_cli(capsys, "examples", name)
+        assert code == 0 and rep["verdict"] == "computed"
+        got = rep["details"]
+        if name.startswith("symmetric"):
+            got.pop("witness", None)
+        assert got == details, name
+
+
+def test_unknown_example_is_malformed(capsys):
+    assert_malformed(capsys, ["examples", "no-such-example"], "$")
+
+
+def test_library_error_exits_1(capsys, tmp_path):
+    # a disk is not a closed manifold, so pl_degree raises
+    path = write_json(tmp_path, "disk.json", cover_to_json(gallery.two_bubble_cover(1, 1)))
+    code = main(["degree", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: NotClosedManifold: ")
+    assert "Traceback" not in captured.err

@@ -19,6 +19,7 @@ from fraccore.topology.complexes import (
 )
 from fraccore.topology.degree import (
     BalancedSimplexFound,
+    CubeRegion,
     Degree,
     LabeledCover,
     SimplexRegion,
@@ -400,19 +401,26 @@ def test_affine_coordinates_match_affine_basis_and_per_firm_solves(case):
     )
 
 
+def ray_on_image_cover():
+    fs = FirmSystem(firms=[(1, 0), (0, 1), (-1, -2)], resource=(0, 0))
+    return LabeledCover(simplex_boundary(2), [frozenset({i}) for i in range(3)], fs)
+
+
 @pytest.mark.parametrize(
     "cover,tried",
     [
-        # the first ray (1, ..., 1) meets a face at the first facet
-        (lambda: identity_cover(1), 1 + 3),
-        (lambda: identity_cover(2), 1 + 4),
-        (lambda: identity_cover(3), 1 + 5),
-        # ... and at the seventh facet of this Sperner cover
-        (lambda: _fixture_covers()[3], 7 + 24),
+        # the first ray (1, 2, ..., 2^k) is transversal on every facet
+        (lambda: identity_cover(1), 3),
+        (lambda: identity_cover(2), 4),
+        (lambda: identity_cover(3), 5),
+        (lambda: _fixture_covers()[3], 24),
+        # (1, 2) is the negative of the third firm's image, so it lies in
+        # the span of the first facet's column and the second ray is tried
+        (lambda: ray_on_image_cover(), 1 + 3),
         # a balanced facet is returned before any ray is tried
         (lambda: _fixture_covers()[6], 0),
     ],
-    ids=["identity-1", "identity-2", "identity-3", "sperner", "balanced"],
+    ids=["identity-1", "identity-2", "identity-3", "sperner", "retry", "balanced"],
 )
 def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
     from fraccore import linalg
@@ -431,3 +439,80 @@ def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
     pl_degree(lc)
     # one reduction for the firm coordinates, one per facet per ray tried
     assert len(calls) == 1 + tried
+
+
+# ---------------------------------------------------------------------------
+# cube regions: the boundary grid against its frame-vector reference, and
+# induced labelings of payoff dimensions 3 and 4
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, depth", [(3, depth) for depth in range(6)] + [(4, depth) for depth in range(4)]
+)
+@given(center=st.lists(values, min_size=4, max_size=4), halfwidth=positive)
+@settings(max_examples=8, deadline=None)
+def test_cube_boundary_grid_matches_frame_vector_reference(n, depth, center, halfwidth):
+    from reference_degree import cube_boundary_grid
+
+    from fraccore.topology.degree import _cube_boundary_grid
+
+    oc, positions = _cube_boundary_grid(n, center[:n], halfwidth, depth)
+    ref_oc, ref_positions = cube_boundary_grid(n, center[:n], halfwidth, depth)
+    assert oc == ref_oc
+    assert repr(positions) == repr(ref_positions)
+
+
+def _cube_game(n):
+    from fraccore.gallery import symmetric_pairs_game_s2
+
+    return embed_coalitional(loss_sharing_tu()) if n == 3 else symmetric_pairs_game_s2()
+
+
+@pytest.mark.parametrize(
+    "n, center, halfwidth, depth",
+    [
+        (3, (-20, -12, -3), 10, 0),
+        (3, (-20, -12, -3), 10, 3),
+        (3, ("-7/2", 5, "1/3"), "5/2", 5),
+        (4, (0, 0, 0, 0), 3, 0),
+        (4, (2, -5, 1, 2), "3/2", 1),
+        (4, ("-1/2", 4, -3, "-1/2"), 2, 2),
+    ],
+)
+def test_induced_cube_labeling_is_a_closed_coherent_boundary(n, center, halfwidth, depth):
+    from fraccore.game_model import cover_labels
+    from fraccore.topology.degree import _cube_boundary_grid
+
+    region = CubeRegion(center, halfwidth)
+    game = _cube_game(n)
+    lc = induce_labeling(game, region, depth)
+    K = lc.oriented.complex
+    d = n - 1
+    assert len(K.facets) == (4 * 2**depth if d == 2 else 12 * 4**depth)
+    assert K.dim == d - 1
+    assert all(len(inc) == 2 for inc in K.ridges().values())
+    assert K.is_connected() and lc.oriented.coherent()
+    assert K.euler_characteristic() == (0 if d == 2 else 2)
+    # every labeled position lies on the cube's boundary: its frame
+    # coefficients are in [-1, 1] with one at +-1, and the frame e_i - e_last
+    # keeps the coordinate sum
+    oc, positions = _cube_boundary_grid(n, region.center, region.halfwidth, depth)
+    assert oc == lc.oriented
+    assert len(set(positions)) == K.num_vertices
+    assert lc.labels == tuple(cover_labels(game.utilities, p) for p in positions)
+    for p in positions:
+        assert sum(p) == sum(region.center)
+        coeffs = [(p[i] - region.center[i]) / region.halfwidth for i in range(d)]
+        assert max(abs(c) for c in coeffs) == 1
+    assert isinstance(pl_degree(lc), (Degree, BalancedSimplexFound))
+
+
+def test_cube_region_rejects_other_dimensions():
+    from fraccore.game_model import TUGame
+
+    pair = embed_coalitional(TUGame(2, {(0,): 0, (1,): 0, (0, 1): 1}))
+    with pytest.raises(DimensionMismatch, match="payoff dimensions 3 and 4"):
+        induce_labeling(pair, CubeRegion((0, 0), 1), 0)
+    with pytest.raises(DimensionMismatch, match="center"):
+        induce_labeling(_cube_game(3), CubeRegion((0, 0), 1), 0)

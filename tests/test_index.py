@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,16 +74,14 @@ def test_component_validation():
 
 
 def test_not_isolated_raises():
-    lc = two_bubble_cover(1, 1)
-    comps = balanced_components(lc)
-    assert len(comps) == 2
-    # passing only one half of a genuinely split pair works; passing a
-    # proper subset of one component trips the isolation check
-    first = comps[0]
-    partial = frozenset(list(sorted(first))[:1])
-    if partial != first:
-        with pytest.raises(NotIsolated):
-            component_index(lc, partial)
+    # one facet of the six-facet fan: its star holds the other five, so its
+    # neighborhood touches balanced facets, reported by the lowest index
+    lc = _two_ring_cover(frozenset({0, 1, 2}))
+    (fan,) = balanced_components(lc)
+    facets = lc.oriented.complex.facets
+    first, *_, last = sorted(fan)
+    with pytest.raises(NotIsolated, match=re.escape(f"balanced facet {facets[first]}")):
+        component_index(lc, frozenset({last}))
 
 
 def test_boundary_touching_component_raises():
