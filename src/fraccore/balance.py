@@ -2,14 +2,15 @@
 
 A set of firms is balanced when nonnegative weights on its members combine
 exactly to the resource vector ("cone" mode); the convex variant also
-requires the weights to sum to one.  Families of coalitions with weighted
-characteristic vectors summing to the all-ones vector are the classical
-special case.
+requires the weights to sum to one.  Minimal balanced families of
+coalitions are the minimal balanced subsets of the firms 1_S, one per
+coalition S, with resource all-ones.
 
 Balancedness is upward closed and depends only on the firm system, so each
 (firm system, mode) pair gets one memoized test, kept in a bounded
 process-wide cache keyed by the firm system's value; its minimal balanced
-subsets decide every member set.
+subsets, each found by one exact elimination, decide every member set.  An
+LP decides a member set queried before they are known.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from itertools import combinations
 
 from .errors import CapExceeded, CountMismatch, IndexOutOfRange
 from .exact_linear import Feasible, LinearSystem, solve_feasibility
-from .game_model import FirmSystem, coalitions
+from .game_model import FirmSystem, _balancing_equations, coalitions
 from .linalg import gaussian_solve
-from .rationals import ONE, ZERO, Q, dot, vec
+from .rationals import ONE, ZERO, dot, vec
 
 DEFAULT_FIRM_CAP = 20
 DEFAULT_PLAYER_CAP = 5
@@ -63,18 +64,6 @@ def checked_family(subsets, weights, n: int) -> BalancedFamily:
     return fam
 
 
-def _weights_system(members, fs: FirmSystem, convex: bool) -> LinearSystem:
-    k = len(members)
-    eqs = []
-    for row in range(fs.dim):
-        eqs.append(
-            (tuple(fs.firms[i][row] for i in members), fs.resource[row])
-        )
-    if convex:
-        eqs.append(((ONE,) * k, ONE))
-    return LinearSystem(k, equalities=tuple(eqs), nonneg=True)
-
-
 def _check_members(subset, fs: FirmSystem) -> tuple:
     members = tuple(sorted(set(subset)))
     if not members:
@@ -84,29 +73,24 @@ def _check_members(subset, fs: FirmSystem) -> tuple:
     return members
 
 
+def _lp_weights(subset, fs: FirmSystem, convex: bool):
+    members = _check_members(subset, fs)
+    eqs = _balancing_equations(fs, members, convex)
+    res = solve_feasibility(LinearSystem(len(members), equalities=eqs, nonneg=True))
+    return res.witness if isinstance(res, Feasible) else None
+
+
 def balancing_weights(subset, fs: FirmSystem):
     """Nonnegative weights with sum_i w_i v_i = resource, or None.
 
     Weights align with the sorted member list.
     """
-    members = _check_members(subset, fs)
-    res = solve_feasibility(_weights_system(members, fs, convex=False))
-    return res.witness if isinstance(res, Feasible) else None
+    return _lp_weights(subset, fs, False)
 
 
 def convex_balancing_weights(subset, fs: FirmSystem):
     """As balancing_weights but additionally requiring sum of weights = 1."""
-    members = _check_members(subset, fs)
-    res = solve_feasibility(_weights_system(members, fs, convex=True))
-    return res.witness if isinstance(res, Feasible) else None
-
-
-def _mode_fn(mode: str):
-    if mode == "cone":
-        return balancing_weights
-    if mode == "convex":
-        return convex_balancing_weights
-    raise ValueError(f"unknown mode {mode!r} (use 'cone' or 'convex')")
+    return _lp_weights(subset, fs, True)
 
 
 def _mask(subset) -> int:
@@ -122,14 +106,15 @@ class BalanceTest:
 
     The answer depends only on the firm system and the mode, so it is kept
     per member set.  Once the minimal balanced subsets are known, a member
-    set is balanced exactly when it contains one of them, and no further LP
-    runs.  The weights of every LP that found a set balanced are kept too,
-    so each minimal subset has the weights that decided it.  Concurrent
-    callers may compute an answer twice; they store the same value.
+    set is balanced exactly when it contains one of them.  The weights that
+    found a set balanced, by an LP or an elimination, are kept too, so each
+    minimal subset has the weights that decided it.  Concurrent callers may
+    compute an answer twice; they store the same value.
     """
 
     def __init__(self, fs: FirmSystem, mode: str):
-        _mode_fn(mode)  # rejects an unknown mode before it is cached
+        if mode not in ("cone", "convex"):  # rejected before it is cached
+            raise ValueError(f"unknown mode {mode!r} (use 'cone' or 'convex')")
         self.fs = fs
         self.mode = mode
         self._known = {}
@@ -138,10 +123,22 @@ class BalanceTest:
         self._masks = None
 
     def _solve(self, members) -> bool:
-        weights = _mode_fn(self.mode)(members, self.fs)
+        lp = convex_balancing_weights if self.mode == "convex" else balancing_weights
+        weights = lp(members, self.fs)
         if weights is not None:
             self._weights[members] = weights
         return weights is not None
+
+    def _eliminate(self, members) -> bool:
+        """A candidate of ``minimal``: balanced iff its balancing equations
+        have a nonnegative particular solution."""
+        eqs = _balancing_equations(self.fs, members, self.mode == "convex")
+        solved = gaussian_solve([row for row, _ in eqs], [b for _, b in eqs])
+        if solved is None or any(w < ZERO for w in solved[0]):
+            return False
+        # a resource of dimension 0 gives no equations: the one weight is 0
+        self._weights[members] = solved[0] or (ZERO,)
+        return True
 
     def __call__(self, subset) -> bool:
         members = tuple(sorted(set(subset)))
@@ -156,8 +153,8 @@ class BalanceTest:
 
     def weights(self, subset) -> tuple:
         """Balancing weights of a balanced member set, aligned with its
-        sorted members: for a minimal subset, those of the LP that decided
-        it; any other set is solved once here."""
+        sorted members: for a minimal subset, those that decided it; any
+        other set is solved once here, by an LP."""
         members = _check_members(subset, self.fs)
         if members not in self._weights and not self._solve(members):
             raise ValueError(f"member set {members} is not balanced")
@@ -168,8 +165,16 @@ class BalanceTest:
 
         By Caratheodory a minimal cone-balanced set has at most dim members
         and a minimal convex-balanced set at most dim + 1, so only candidates
-        up to that size are tested; a candidate containing a found subset is
-        balanced but not minimal and skips its LP.
+        up to that size are tested.  A candidate containing a found subset is
+        skipped; any other has no balanced proper subset, so it is balanced
+        exactly when one elimination of its equations gives a nonnegative
+        particular solution.  Such a solution proves balance.  Conversely, a
+        balancing solution is unique: with two or more members, a zero weight
+        or a move along a kernel vector until a weight reaches zero would
+        balance a proper subset; one member's weight is free only on a zero
+        firm vector.  With resource zero every singleton is balanced in cone
+        mode, and the elimination gives it weight 0.  Otherwise an LP finds
+        the same, unique, weights.
         """
         if self._minimal is None:
             fs = self.fs
@@ -178,7 +183,7 @@ class BalanceTest:
             for size in range(1, min(top, fs.count) + 1):
                 for subset in combinations(range(fs.count), size):
                     mask = _mask(subset)
-                    if not _contains_any(mask, masks) and self(subset):
+                    if not _contains_any(mask, masks) and self._eliminate(subset):
                         found.append(subset)
                         masks.append(mask)
             self._masks = masks
@@ -287,29 +292,17 @@ def convexify(fs: FirmSystem):
 
 
 def minimal_balanced_families(n: int, cap: int = DEFAULT_PLAYER_CAP):
-    """All minimal balanced families of coalitions of range(n), with weights.
-
-    Candidates only need size <= n (any larger balanced family has a proper
-    balanced subfamily by Caratheodory, hence is not minimal).  A minimal
-    family has independent characteristic vectors and positive weights,
-    and such a family is minimal: a balanced proper subfamily, its weights
-    padded with zeros, would be a second solution of the same independent
-    system.  So one exact solve per candidate decides it.
-    """
+    """All minimal balanced families of coalitions of range(n), with weights:
+    the minimal cone-balanced subsets of the firms 1_S, one per coalition S,
+    with resource all-ones, and the weights that decided them."""
     if n > cap:
         raise CapExceeded(f"{n} players exceeds the cap {cap}")
     if n < 1:
         raise ValueError("need at least one player")
     coals = coalitions(n)
-    ones = [ONE] * n
-    out = []
-    for size in range(1, n + 1):
-        for family in combinations(coals, size):
-            cols = [[ONE if p in s else ZERO for s in family] for p in range(n)]
-            solved = gaussian_solve(cols, ones)
-            # free columns are zero in the solution, so positive weights
-            # also mean independent characteristic vectors
-            if solved is not None and all(w > ZERO for w in solved[0]):
-                out.append(checked_family(family, solved[0], n))
-    out.sort(key=lambda f: (len(f.subsets), f.subsets))
-    return out
+    firms = [tuple(ONE if p in s else ZERO for p in range(n)) for s in coals]
+    test = balance_test(FirmSystem(firms=firms, resource=(ONE,) * n), "cone")
+    families = [
+        checked_family([coals[i] for i in s], test.weights(s), n) for s in test.minimal()
+    ]
+    return sorted(families, key=lambda f: (len(f.subsets), f.subsets))

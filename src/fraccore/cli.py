@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from importlib import resources
 
 from . import balance, frac_core, gallery, tu_solver
 from .errors import CapExceeded, FraccoreError
@@ -315,12 +316,8 @@ def _cmd_rainbow(args):
 def _cmd_index_sum(args):
     lc = cover_from_json(_load_json(args.input))
     rep = topo_index.index_sum_check(lc)
-    if isinstance(rep.boundary_degree, topo_degree.Degree):
-        bd = {"degree": rep.boundary_degree.value}
-    else:
-        bd = {"balanced_simplex": list(rep.boundary_degree.facet)}
     return ("consistent" if rep.sum_matches else "inconsistent"), {
-        "boundary": bd,
+        "boundary": {"degree": rep.boundary_degree.value},
         "components": [
             {"facets": list(facets), "index": ix} for facets, ix in rep.components
         ],
@@ -430,7 +427,8 @@ def _example_hopf():
     cover = topo_degree.closed_star_cover(oc, coloring, fs)
     rainbow = topo_degree.rainbow_simplices(cover, "cone")
     invariant = hopf_invariant(oc, coloring)
-    game = gallery.hopf_fibration_game()
+    shipped = resources.files("fraccore").joinpath("data/hopf-game.json").read_text()
+    game = game_from_json(json.loads(shipped))  # gallery.hopf_fibration_game()
     res = frac_core.fractional_core_solve(game)
     return {
         "asset_valid": True,

@@ -285,14 +285,18 @@ class FirmSystem:
         return all(sum(v, ZERO) > ZERO for v in self.firms)
 
     def resource_in_cone(self) -> bool:
-        m, d = self.count, self.dim
-        eqs = []
-        for k in range(d):
-            eqs.append((tuple(self.firms[i][k] for i in range(m)), self.resource[k]))
-        return isinstance(
-            solve_feasibility(LinearSystem(m, equalities=tuple(eqs), nonneg=True)),
-            Feasible,
-        )
+        eqs = _balancing_equations(self, range(self.count), False)
+        system = LinearSystem(self.count, equalities=eqs, nonneg=True)
+        return isinstance(solve_feasibility(system), Feasible)
+
+
+def _balancing_equations(fs: FirmSystem, members, convex: bool) -> tuple:
+    """Rows (coefficients, rhs) of sum_i w_i v_i = r over the members, one
+    weight per member in order, plus sum_i w_i = 1 when ``convex``."""
+    eqs = [(tuple(fs.firms[i][k] for i in members), fs.resource[k]) for k in range(fs.dim)]
+    if convex:
+        eqs.append(((ONE,) * len(members), ONE))
+    return tuple(eqs)
 
 
 @dataclass(frozen=True)

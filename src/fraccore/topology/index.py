@@ -104,6 +104,10 @@ def _component_indices(lc: LabeledCover, components, balanced):
                 "component reaches the boundary of its own neighborhood"
             )
         res = pl_degree(LabeledCover(rim, labels, lc.firm_system))
+        # Cannot fire: a rim facet has no marked vertex, so its vertices are
+        # barycentres of faces of one star facet outside the component, which
+        # is not balanced by the isolation check.  Each rim label lies in that
+        # facet's label union, and a subset of an unbalanced set is unbalanced.
         if isinstance(res, BalancedSimplexFound):
             raise BoundaryTouchesBalanced(
                 f"balanced simplex {res.facet} on the neighborhood boundary"
@@ -114,7 +118,7 @@ def _component_indices(lc: LabeledCover, components, balanced):
 
 @dataclass(frozen=True)
 class IndexSumReport:
-    boundary_degree: object  # Degree or BalancedSimplexFound
+    boundary_degree: Degree
     components: tuple  # ((facet indices, index), ...)
     sum_matches: bool
 
@@ -131,7 +135,7 @@ def index_sum_check(lc: LabeledCover) -> IndexSumReport:
         (tuple(sorted(c)), ix)
         for c, ix in zip(components, _component_indices(lc, components, balanced))
     )
-    matches = isinstance(boundary_degree, Degree) and boundary_degree.value == sum(
-        ix for _, ix in indexed
-    )
+    # a balanced rim facet lies in a balanced facet on the region boundary,
+    # whose component raised above, so the boundary degree is a Degree
+    matches = boundary_degree.value == sum(ix for _, ix in indexed)
     return IndexSumReport(boundary_degree, indexed, matches)

@@ -5,11 +5,14 @@ criterion.  Every numeric assertion is exact (rational arithmetic); the
 budgets are wall-clock guards.
 """
 
+import json
 import random
 import time
+from importlib import resources
 
 from helpers_fibered import sphere_complex
 from fraccore import frac_core, gallery, tu_solver
+from fraccore.formats import game_from_json
 from fraccore.game_model import (
     CoalitionalNTUGame,
     ComprehensiveSet,
@@ -323,6 +326,9 @@ def test_criterion_11_hopf_example():
     oc2 = propagate_orientation(K2)
     assert abs(hopf_invariant(oc2, coloring2)) == 1
     game = gallery.hopf_fibration_game()
+    # `fraccore examples hopf` reads the shipped copy of this game
+    shipped = resources.files("fraccore").joinpath("data/hopf-game.json").read_text()
+    assert game_from_json(json.loads(shipped)) == game
     assert validate_game(game).ok
     res = frac_core.fractional_core_solve(game)
     assert isinstance(res, frac_core.Nonempty)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fraccore.balance import (
     BalancedFamily,
+    BalanceTest,
     Differs,
     Equivalent,
     NotConvexifiable,
@@ -326,6 +327,40 @@ def test_coalition_system_antichain_pinned():
     assert len(minimal) == 42
     assert all(len(s) <= fs.dim for s in minimal)
     assert len(balanced_subsets(fs, "cone")) == 31361
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mode", ["cone", "convex"])
+def test_antichain_runs_no_lp(monkeypatch, n, mode):
+    # every candidate of the enumeration is decided by one elimination
+    from fraccore import exact_linear
+
+    calls = []
+    solve_standard = exact_linear._solve_standard
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve_standard(*args)
+
+    fs, _ = coalition_system(n)
+    monkeypatch.setattr(exact_linear, "_solve_standard", counting_solve)
+    minimal = BalanceTest(fs, mode).minimal()
+    assert minimal and calls == []
+
+
+@pytest.mark.parametrize(
+    "fs",
+    [
+        FirmSystem(firms=[(0, 0), (1, 2), (-1, 3), (0, 0)], resource=(0, 0)),
+        FirmSystem(firms=[(), ()], resource=()),
+    ],
+)
+def test_zero_resource_makes_every_singleton_minimal(fs):
+    # weight 0 balances a zero resource, on a zero firm vector too, whose
+    # column is free in the elimination
+    test = BalanceTest(fs, "cone")
+    assert test.minimal() == tuple((i,) for i in range(fs.count))
+    assert all(test.weights((i,)) == (Q(0),) for i in range(fs.count))
 
 
 def test_equal_firm_systems_share_one_test():

@@ -20,9 +20,15 @@ from fraccore.formats import (
     tu_from_json,
 )
 from fraccore.rationals import rat_json
+from fraccore.errors import BoundaryTouchesBalanced
+from fraccore.game_model import FirmSystem
 from fraccore.topology import (
+    BalancedSimplexFound,
     CubeRegion,
     Degree,
+    LabeledCover,
+    SimplicialComplex,
+    boundary_complex,
     closed_star_cover,
     hopf_invariant,
     index_sum_check,
@@ -753,6 +759,25 @@ def test_index_sum(capsys, tmp_path):
             "components": [{"facets": list(f), "index": ix} for f, ix in report.components],
         },
     )
+
+
+def test_index_sum_with_a_balanced_region_boundary_exits_1(capsys, tmp_path):
+    # a square disk around vertex 4 whose rim edge (0, 1), labelled {0} and
+    # {1}, is convex-balanced: (2,0)/2 + (0,2)/2 = (1,1).  The facet holding
+    # that edge is balanced and lies on the region boundary, so its component
+    # check raises before a report holds the rim's balanced simplex.
+    fs = FirmSystem(firms=[(2, 0), (0, 2), (1, 0)], resource=(1, 1))
+    disk = SimplicialComplex(5, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)))
+    labels = [{0}, {1}, {2}, {2}, {2}]
+    lc = LabeledCover(propagate_orientation(disk), labels, fs)
+    rim = LabeledCover(boundary_complex(lc.oriented), labels, fs)
+    assert pl_degree(rim) == BalancedSimplexFound((0, 1))
+    with pytest.raises(BoundaryTouchesBalanced, match="boundary of its own neighborhood"):
+        index_sum_check(lc)
+    code = main(["index-sum", write_json(tmp_path, "cover.json", cover_to_json(lc))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: BoundaryTouchesBalanced: component reaches")
 
 
 def test_hopf_derives_a_missing_orientation(capsys, tmp_path):

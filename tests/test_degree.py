@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from relabel import relabel
 
-from fraccore.errors import DimensionMismatch, NotClosedManifold
+from fraccore.errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from fraccore.frac_core import embed_coalitional
 from fraccore.gallery import loss_sharing_tu
 from fraccore.game_model import FirmSystem
@@ -18,6 +18,7 @@ from fraccore.topology.complexes import (
     simplex_boundary,
 )
 from fraccore.topology.degree import (
+    MAX_DEPTH,
     BalancedSimplexFound,
     CubeRegion,
     Degree,
@@ -126,6 +127,41 @@ def test_not_closed_raises():
     oc = OrientedComplex(K, (1, 1))
     with pytest.raises(NotClosedManifold):
         pl_degree(LabeledCover(oc, [frozenset({0})] * 3, fs))
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([{0}, {1}], "one label set per vertex"),
+        ([{0}, set(), {2}], "at least one label"),
+        ([{0}, {1}, {3}], "outside the firm range"),
+        ([{0}, {-1}, {2}], "outside the firm range"),
+    ],
+)
+def test_labeled_cover_rejects_bad_labels(labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledCover(simplex_boundary(2), labels, unit_firms(3))
+
+
+def test_incoherent_orientation_raises():
+    # a closed cover with one facet's sign flipped
+    lc = identity_cover(2)
+    oc = lc.oriented
+    flipped = OrientedComplex(oc.complex, (-oc.orientation[0], *oc.orientation[1:]))
+    assert pl_degree(lc) == Degree(1)
+    with pytest.raises(NotClosedManifold, match="orientation is not coherent"):
+        pl_degree(LabeledCover(flipped, lc.labels, lc.firm_system))
+
+
+def test_induce_labeling_rejections():
+    game = embed_coalitional(loss_sharing_tu())
+    triangle = SimplexRegion([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    with pytest.raises(CapExceeded, match="depth"):
+        induce_labeling(game, triangle, MAX_DEPTH + 1)
+    with pytest.raises(DimensionMismatch, match="region vertices"):
+        induce_labeling(game, SimplexRegion([(0, 0, 0), (1, 0)]), 0)
+    with pytest.raises(TypeError, match="SimplexRegion or CubeRegion"):
+        induce_labeling(game, triangle.vertices, 0)
 
 
 def test_embedded_cover_degree_one_quick():

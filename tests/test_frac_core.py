@@ -468,19 +468,26 @@ def test_minimal_subset_solvers_match_closure_loop():
     assert {b for _, b in verdicts} >= {"BalancedGame", "ViolatedGame"}
 
 
-def test_witness_reads_the_weights_of_the_deciding_lp(monkeypatch):
-    # no member set is solved twice: the witness takes the weights the LP
-    # returned when it found the active subset balanced
+def test_witness_reads_the_weights_of_the_deciding_elimination(monkeypatch):
+    # no member set is solved twice, by an elimination or an LP: the witness
+    # takes the weights the elimination returned when it found the active
+    # subset balanced, and those are the weights a fresh LP finds
     from fraccore import balance
 
-    original = balance.balancing_weights
+    original_lp = balance.balancing_weights
+    original_eliminate = balance.BalanceTest._eliminate
     solved = []
 
-    def spy(subset, fs):
+    def spy_lp(subset, fs):
         solved.append(tuple(sorted(subset)))
-        return original(subset, fs)
+        return original_lp(subset, fs)
 
-    monkeypatch.setattr(balance, "balancing_weights", spy)
+    def spy_eliminate(self, members):
+        solved.append(members)
+        return original_eliminate(self, members)
+
+    monkeypatch.setattr(balance, "balancing_weights", spy_lp)
+    monkeypatch.setattr(balance.BalanceTest, "_eliminate", spy_eliminate)
     balance._cached_test.cache_clear()
     for game in (embed_coalitional(loss_sharing_tu_modified()), symmetric_pairs_game_s1()):
         solved.clear()
@@ -488,7 +495,7 @@ def test_witness_reads_the_weights_of_the_deciding_lp(monkeypatch):
         assert isinstance(res, Nonempty)
         assert res.witness.active in solved
         assert len(solved) == len(set(solved))
-        assert res.witness.weights == original(res.witness.active, game.firm_system)
+        assert res.witness.weights == original_lp(res.witness.active, game.firm_system)
 
 
 # ---------------------------------------------------------------------------
