@@ -166,27 +166,30 @@ class BalanceTest:
         By Caratheodory a minimal cone-balanced set has at most dim members
         and a minimal convex-balanced set at most dim + 1, so only candidates
         up to that size are tested.  A candidate containing a found subset is
-        skipped; any other has no balanced proper subset, so it is balanced
-        exactly when one elimination of its equations gives a nonnegative
-        particular solution.  Such a solution proves balance.  Conversely, a
-        balancing solution is unique: with two or more members, a zero weight
-        or a move along a kernel vector until a weight reaches zero would
-        balance a proper subset; one member's weight is free only on a zero
-        firm vector.  With resource zero every singleton is balanced in cone
-        mode, and the elimination gives it weight 0.  Otherwise an LP finds
-        the same, unique, weights.
+        skipped: by induction on size, exactly when one of its one-smaller
+        subsets was found or skipped.  Any other has no balanced proper
+        subset, so it is balanced exactly when one elimination of its
+        equations gives a nonnegative particular solution.  Such a solution
+        proves balance.  Conversely, a balancing solution is unique: with two
+        or more members, a zero weight or a move along a kernel vector until
+        a weight reaches zero would balance a proper subset; one member's
+        weight is free only on a zero firm vector.  With resource zero every
+        singleton is balanced in cone mode, and the elimination gives it
+        weight 0.  Otherwise an LP finds the same, unique, weights.
         """
         if self._minimal is None:
             fs = self.fs
             top = fs.dim + 1 if self.mode == "convex" else max(fs.dim, 1)
-            found, masks = [], []
+            found, closed = [], set()
             for size in range(1, min(top, fs.count) + 1):
                 for subset in combinations(range(fs.count), size):
                     mask = _mask(subset)
-                    if not _contains_any(mask, masks) and self._eliminate(subset):
+                    if any(mask ^ (1 << i) in closed for i in subset):
+                        closed.add(mask)
+                    elif self._eliminate(subset):
                         found.append(subset)
-                        masks.append(mask)
-            self._masks = masks
+                        closed.add(mask)
+            self._masks = [_mask(s) for s in found]
             self._minimal = tuple(found)
         return self._minimal
 

@@ -18,9 +18,11 @@ returned uplift value, one per call.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
+from types import MappingProxyType
 
 from .errors import DimensionMismatch
 from .exact_linear import Feasible, LinearSystem, Unbounded, maximize, solve_feasibility
@@ -273,6 +275,16 @@ class FirmSystem:
             if len(v) != d:
                 raise DimensionMismatch("firm vector dimension != resource dimension")
 
+    def __hash__(self):
+        # Fraction does not cache its hash, and the balance cache looks the
+        # system up by value; computed on first use, since most parsed
+        # systems are never hashed
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.firms, self.resource))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def count(self) -> int:
         return len(self.firms)
@@ -394,10 +406,14 @@ def coalitions(n: int):
 
 @dataclass(frozen=True)
 class TUGame:
-    """Characteristic function on all nonempty coalitions of range(n)."""
+    """Characteristic function on all nonempty coalitions of range(n).
+
+    ``values`` is a read-only mapping from sorted coalition tuples to
+    rationals, so a game cannot change while a memo keeps it as a key.
+    """
 
     n: int
-    values: dict = field(hash=False)
+    values: Mapping = field(hash=False)
 
     def __post_init__(self):
         fixed = {}
@@ -406,7 +422,7 @@ class TUGame:
             if not key or any(i < 0 or i >= self.n for i in key):
                 raise ValueError(f"bad coalition {coal}")
             fixed[key] = rat(val)
-        object.__setattr__(self, "values", fixed)
+        object.__setattr__(self, "values", MappingProxyType(fixed))
         missing = [c for c in coalitions(self.n) if c not in fixed]
         if missing:
             raise ValueError(f"missing coalition values: {missing}")
@@ -424,11 +440,11 @@ class CoalitionalNTUGame:
     """One comprehensive set V(S) in R^S per nonempty coalition S.
 
     ``sets`` maps sorted coalition tuples to ComprehensiveSets over |S|
-    coordinates, ordered as the sorted members.
+    coordinates, ordered as the sorted members; it is read-only.
     """
 
     n: int
-    sets: dict = field(hash=False)
+    sets: Mapping = field(hash=False)
 
     def __post_init__(self):
         fixed = {}
@@ -439,7 +455,7 @@ class CoalitionalNTUGame:
                 raise DimensionMismatch(
                     f"V({key}) must live in {len(key)} coordinates"
                 )
-        object.__setattr__(self, "sets", fixed)
+        object.__setattr__(self, "sets", MappingProxyType(fixed))
         missing = [c for c in coalitions(self.n) if c not in fixed]
         if missing:
             raise ValueError(f"missing coalition sets: {missing}")

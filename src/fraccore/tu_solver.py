@@ -5,11 +5,17 @@ weights; by Bondareva-Shapley its dual is the core LP.  The game is
 balanced, and its core nonempty, exactly when the optimum is the grand
 coalition's value: then the dual point is a core allocation, otherwise
 the optimal support is a violating balanced family.
+
+Both questions read the same LP, so its last result is memoized for one
+game, keyed by the game's value: ``core_nonempty`` followed by
+``is_balanced_tu`` on one game solves it once.  The memo holds one entry,
+so only consecutive questions about equal games share an LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .balance import BalancedFamily, checked_family
 from .errors import DimensionMismatch
@@ -50,9 +56,10 @@ class Reject:
     reason: str
 
 
+@lru_cache(maxsize=1)
 def _balancing_lp(game: TUGame):
     """max sum_S w_S v(S) over w >= 0 with sum_{S ∋ i} w_S = 1 per player i."""
-    coals = coalitions(game.n)
+    coals = tuple(coalitions(game.n))
     eqs = [(tuple(ONE if i in c else ZERO for c in coals), ONE) for i in range(game.n)]
     sys = LinearSystem(len(coals), equalities=tuple(eqs), nonneg=True)
     res = maximize([game.value(c) for c in coals], sys)

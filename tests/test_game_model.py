@@ -21,6 +21,7 @@ from fraccore.game_model import (
     tau,
     validate_game,
 )
+from fraccore.formats import tu_from_json, tu_to_json
 from fraccore.rationals import Q, rat, vec
 
 
@@ -314,6 +315,31 @@ def test_ntu_games_compare_by_sets():
 
     assert game(1) != game(2)
     assert game(1) == game(1) and hash(game(1)) == hash(game(1))
+
+
+def test_game_mappings_are_read_only():
+    values = {(0,): 0, (1,): 0, (0, 1): 1}
+    tu = TUGame(2, values)
+    with pytest.raises(TypeError):
+        tu.values[(0, 1)] = 2
+    assert tu.values == values
+    assert tu_to_json(tu_from_json(tu_to_json(tu))) == tu_to_json(tu)
+    ntu = CoalitionalNTUGame(
+        2, {c: orthant_set((1,) * len(c)) for c in coalitions(2)}
+    )
+    with pytest.raises(TypeError):
+        ntu.sets[(0,)] = orthant_set((2,))
+
+
+def test_firm_system_hash_is_cached_on_first_use():
+    fs = FirmSystem(firms=((1, 0), (Q(1, 2), 1)), resource=(1, 1))
+    assert "_hash" not in vars(fs)
+    assert hash(fs) == hash((fs.firms, fs.resource))
+    assert vars(fs)["_hash"] == hash(fs)
+    same = FirmSystem(firms=((1, 0), (Q(1, 2), 1)), resource=(1, 1))
+    assert same == fs and hash(same) == hash(fs)
+    assert repr(same) == repr(fs) and "_hash" not in repr(fs)
+    assert fs != FirmSystem(firms=((1, 0), (Q(1, 2), 1)), resource=(1, 2))
 
 
 # ---------------------------------------------------------------------------

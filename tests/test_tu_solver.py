@@ -15,6 +15,7 @@ from fraccore.tu_solver import (
     Empty,
     Reject,
     Violated,
+    _balancing_lp,
     check_core_point,
     core_nonempty,
     is_balanced_tu,
@@ -102,9 +103,7 @@ def test_every_core_point_reverifies():
             assert check_core_point(game, res.allocation) == Accept()
 
 
-def test_balancing_lp_declares_nonnegative_weights(monkeypatch):
-    # n = 5: one equality row per player and one column per coalition;
-    # written as rows -e_j.w <= 0 the weights made it 36 rows x 93 columns
+def _lp_shapes(monkeypatch):
     shapes = []
     inner = exact_linear._solve_standard
 
@@ -113,6 +112,13 @@ def test_balancing_lp_declares_nonnegative_weights(monkeypatch):
         return inner(a_rows, b, c)
 
     monkeypatch.setattr(exact_linear, "_solve_standard", spy)
+    return shapes
+
+
+def test_balancing_lp_declares_nonnegative_weights(monkeypatch):
+    # n = 5: one equality row per player and one column per coalition;
+    # written as rows -e_j.w <= 0 the weights made it 36 rows x 93 columns
+    shapes = _lp_shapes(monkeypatch)
     game = _random_tu(random.Random(5), 5)
     is_balanced_tu(game)
     assert shapes == [(5, 31)]
@@ -121,15 +127,35 @@ def test_balancing_lp_declares_nonnegative_weights(monkeypatch):
 def test_core_reads_the_balancing_lp(monkeypatch):
     # the core point comes off the same 5-row balancing LP; the coverage-row
     # core LP made a 32-row standard form over 41 columns
-    shapes = []
-    inner = exact_linear._solve_standard
-
-    def spy(a_rows, b, c):
-        shapes.append((len(a_rows), len(c)))
-        return inner(a_rows, b, c)
-
-    monkeypatch.setattr(exact_linear, "_solve_standard", spy)
+    shapes = _lp_shapes(monkeypatch)
     core_nonempty(_random_tu(random.Random(5), 5))
+    assert shapes == [(5, 31)]
+
+
+def test_both_questions_share_one_balancing_lp(monkeypatch):
+    shapes = _lp_shapes(monkeypatch)
+    game = _random_tu(random.Random(5), 5)
+    core_nonempty(game)
+    is_balanced_tu(game)
+    assert shapes == [(5, 31)]
+
+
+def test_memo_holds_only_the_last_game(monkeypatch):
+    shapes = _lp_shapes(monkeypatch)
+    a, b = _random_tu(random.Random(5), 5), _random_tu(random.Random(6), 5)
+    first = is_balanced_tu(a)
+    is_balanced_tu(b)
+    assert is_balanced_tu(a) == first
+    assert shapes == [(5, 31)] * 3
+
+
+def test_equal_games_share_one_balancing_lp(monkeypatch):
+    shapes = _lp_shapes(monkeypatch)
+    game = _random_tu(random.Random(5), 5)
+    copy = TUGame(5, {c: game.value(c) for c in reversed(coalitions(5))})
+    assert copy is not game
+    core_nonempty(game)
+    is_balanced_tu(copy)
     assert shapes == [(5, 31)]
 
 
@@ -198,3 +224,33 @@ def test_core_matches_the_coverage_row_lp(drawn):
         assert check_core_point(game, res.allocation) == Accept()
     if additive is not None:
         assert res == CorePoint(additive)
+
+
+def _ask_all(asks, clear):
+    verdicts = []
+    for game, question in asks:
+        if clear:
+            _balancing_lp.cache_clear()
+        verdicts.append(question(game))
+    return verdicts
+
+
+@given(
+    st.lists(tu_games(), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([core_nonempty, is_balanced_tu])),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_memo_gives_the_verdicts_of_fresh_lps(drawn, picks):
+    # pick k asks about game k mod len, rebuilt from its values when k >= len
+    games = [game for game, _ in drawn]
+    asks = []
+    for k, question in picks:
+        game = games[k % len(games)]
+        if k >= len(games):
+            game = TUGame(game.n, dict(game.values))
+        asks.append((game, question))
+    assert _ask_all(asks, clear=False) == _ask_all(asks, clear=True)
