@@ -293,7 +293,10 @@ def _cmd_induce_cover(args):
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"$.halfwidth: not a rational: {args.halfwidth!r}") from exc
         center = _vector_arg(args.center, "center", game.dim)
-        region = topo_degree.CubeRegion(center, halfwidth)
+        try:
+            region = topo_degree.CubeRegion(center, halfwidth)
+        except ValueError as exc:
+            raise MalformedInput(f"$.halfwidth: {exc}") from exc
     lc = topo_degree.induce_labeling(game, region, args.depth)
     sys.stdout.write(serialize(cover_to_json(lc)))
     return None, None

@@ -12,8 +12,11 @@ its normal and offset times the lcm of their denominators, and the gauge
 (the sum of the scaled normal), which is positive.  Uplift and membership
 scale the point once to integer numerators over one common denominator and
 then decide everything by integer comparisons and cross-multiplication, as
-the elimination kernel in ``linalg`` does.  A rational is built only for a
-returned uplift value, one per call.
+the elimination kernel in ``linalg`` does.  ``tau`` and ``cover_labels``
+scale the point once for all the sets and compare the sets' integer slacks
+by cross-multiplying, exact since every gauge is positive and the
+denominator is common.  A rational is built only for a returned value: one
+per ``uplift`` or ``tau`` call, none per ``cover_labels`` call.
 """
 
 from __future__ import annotations
@@ -131,15 +134,16 @@ class ComprehensiveSet:
         return self.primitives[0].dim
 
     def uplift(self, x) -> "Q":
-        """The greatest primitive uplift at x, compared by cross-multiplying
-        the primitives' slacks; one rational is built, for the result."""
+        """The greatest primitive uplift at x; one rational is built, for
+        the result."""
         p, d = _scaled(x, self.dim)
-        best = None
-        for prim in self.primitives:
-            s, g = prim._slack(p, d)
-            if best is None or s * best[1] > best[0] * g:
-                best = (s, g)
-        return Q(best[0], best[1] * d)
+        s, g = self._slack(p, d)
+        return Q(s, g * d)
+
+    def _slack(self, p, d) -> tuple:
+        """(s, g) with uplift s / (g * d) at the point p / d (p integer,
+        d > 0): the greatest of the primitives' slacks."""
+        return _greatest(prim._slack(p, d) for prim in self.primitives)
 
     def uplift_signs(self, x) -> tuple:
         """The sign (-1, 0 or 1) of each primitive's uplift at x, in order;
@@ -228,15 +232,29 @@ def contains(cset: ComprehensiveSet, x) -> bool:
     return any(prim._holds(p, d) for prim in cset.primitives)
 
 
-def _uplifts(utilities, x) -> list:
-    """Every set's uplift at x, once each, after checking dimensions."""
+def _greatest(slacks) -> tuple:
+    """The greatest of the slacks (s, g), each standing for s / g with
+    g > 0, compared by cross-multiplying; the first of equal ones."""
+    it = iter(slacks)
+    best_s, best_g = next(it)
+    for s, g in it:
+        if s * best_g > best_s * g:
+            best_s, best_g = s, g
+    return best_s, best_g
+
+
+def _set_slacks(utilities, x) -> tuple:
+    """(slacks, d): every set's slack (s, g) at x, once each, and the
+    point's common denominator d, so set i's uplift is s_i / (g_i * d).
+    Dimensions are checked and the point is scaled once for all sets."""
     x = vec(x)
     utilities = tuple(utilities)
     if not utilities:
         raise ValueError("the uplift needs at least one utility set")
     if any(u.dim != len(x) for u in utilities):
         raise DimensionMismatch("point dimension does not match utilities")
-    return [u.uplift(x) for u in utilities]
+    p, d = _clear_denominators(x)
+    return [u._slack(p, d) for u in utilities], d
 
 
 def tau(utilities, x) -> "Q":
@@ -245,7 +263,9 @@ def tau(utilities, x) -> "Q":
     Closed form: max over primitives of min over half-spaces of
     (offset - <a,x>) / <a,ones>; finite because every gauge is positive.
     """
-    return max(_uplifts(utilities, x))
+    slacks, d = _set_slacks(utilities, x)
+    s, g = _greatest(slacks)
+    return Q(s, g * d)
 
 
 def in_induced_cover(utilities, i: int, x) -> bool:
@@ -254,10 +274,11 @@ def in_induced_cover(utilities, i: int, x) -> bool:
 
 
 def cover_labels(utilities, x) -> frozenset:
-    """All indices whose set attains the uplift at x (never empty)."""
-    ups = _uplifts(utilities, x)
-    best = max(ups)
-    return frozenset(i for i, t in enumerate(ups) if t == best)
+    """All indices whose set attains the uplift at x (never empty): set i
+    is a label when s_i * g == s * g_i for the greatest slack (s, g)."""
+    slacks, _ = _set_slacks(utilities, x)
+    s, g = _greatest(slacks)
+    return frozenset(i for i, (si, gi) in enumerate(slacks) if si * g == s * gi)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from ..game_model import FirmSystem, GeneralizedGame, cover_labels
-from ..linalg import _reduce
-from ..rationals import ZERO, Q, rat, vec
+from ..linalg import _clear_denominators, _reduce
+from ..rationals import Q, rat, vec
 from .complexes import (
     OrientedComplex,
     SimplicialComplex,
@@ -215,21 +216,33 @@ class CubeRegion:
     def __post_init__(self):
         object.__setattr__(self, "center", vec(self.center))
         object.__setattr__(self, "halfwidth", rat(self.halfwidth))
+        if self.halfwidth <= 0:
+            # zero collapses the grid onto the center; a negative value
+            # reflects it through the center
+            raise ValueError(f"cube halfwidth must be positive, got {self.halfwidth}")
 
 
 def _subdivide_with_positions(oc: OrientedComplex, positions, depth: int):
+    """Subdivide ``depth`` times, carrying vertex positions.
+
+    Positions are integer numerators over one common denominator D.  Each
+    level multiplies D by L = lcm(1..facet size), so the barycentre of a
+    face is (L / |face|) times the sum of its vertices' numerators; one
+    rational per coordinate is built at the end.
+    """
+    n = len(positions[0])
+    nums, D = _clear_denominators([c for p in positions for c in p])
+    pts = [tuple(nums[i : i + n]) for i in range(0, len(nums), n)]
+    L = lcm(*range(1, oc.complex.dim + 2))
     for _ in range(depth):
         sub = barycentric_subdivision(oc)
-        new_positions = []
-        for face in sub.carriers:
-            pts = [positions[v] for v in face]
-            n = len(pts)
-            new_positions.append(
-                tuple(sum(col, ZERO) / n for col in zip(*pts))
-            )
+        pts = [
+            tuple(L // len(face) * sum(col) for col in zip(*(pts[v] for v in face)))
+            for face in sub.carriers
+        ]
+        D *= L
         oc = sub.oriented
-        positions = new_positions
-    return oc, positions
+    return oc, [tuple(Q(c, D) for c in p) for p in pts]
 
 
 def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
@@ -239,21 +252,23 @@ def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
     if d not in (2, 3):
         raise DimensionMismatch("cube regions support payoff dimensions 3 and 4")
     steps = 2**depth
+    # position = center + halfwidth * (c / steps) * (e_i - e_last) for the
+    # integer grid coefficients c = 2t - steps, in numerators over D * steps
+    (*base, h), D = _clear_denominators((*center, halfwidth))
+    base = [b * steps for b in base]
+    denom = D * steps
     verts = {}
     positions = []
 
     def vid(coeffs):
-        # grid coefficient c_i moves along the frame vector e_i - e_last
         if coeffs not in verts:
             verts[coeffs] = len(positions)
-            pos = list(center)
-            for i, c in enumerate(coeffs):
-                pos[i] += halfwidth * c
-                pos[-1] -= halfwidth * c
-            positions.append(tuple(pos))
+            pos = [b + h * c for b, c in zip(base, coeffs)]
+            pos.append(base[-1] - h * sum(coeffs))
+            positions.append(tuple(Q(c, denom) for c in pos))
         return verts[coeffs]
 
-    grid = [rat(2 * t - steps) / steps for t in range(steps + 1)]
+    grid = range(-steps, steps + 1, 2)
     lo, hi = grid[0], grid[-1]
     if d == 2:
         # the four sides of a square as one closed path

@@ -5,8 +5,10 @@ Test-only.  The ray crossing and firm coordinates are the classifications
 crossing takes ``solve_square``, a ``gaussian_solve`` fallback and ``det``,
 and the coordinates take ``affine_basis`` plus one ``gaussian_solve`` per
 firm.  The cube boundary builds its positions from explicit frame vectors
-and signs the square's cycle by hand.  Every function here must return
-exactly what its private namesake there returns.
+and signs the square's cycle by hand.  The subdivision carries ``Fraction``
+barycentres level by level, where ``degree`` keeps integer numerators over
+one common denominator.  Every function here must return exactly what its
+private namesake there returns.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fraccore.rationals import ONE, ZERO, rat
 from fraccore.topology.complexes import (
     OrientedComplex,
     SimplicialComplex,
+    barycentric_subdivision,
     propagate_orientation,
 )
 
@@ -129,4 +132,19 @@ def cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
     K = SimplicialComplex(len(positions), tuple(facets))
     oc = propagate_orientation(K)
     assert oc is not None
+    return oc, positions
+
+
+def subdivide_with_positions(oc, positions, depth: int):
+    """``depth`` barycentric subdivisions; each new vertex sits at the
+    rational barycentre of its carrier face."""
+    for _ in range(depth):
+        sub = barycentric_subdivision(oc)
+        new_positions = []
+        for face in sub.carriers:
+            pts = [positions[v] for v in face]
+            n = len(pts)
+            new_positions.append(tuple(sum(col, ZERO) / n for col in zip(*pts)))
+        oc = sub.oriented
+        positions = new_positions
     return oc, positions

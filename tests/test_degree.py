@@ -478,6 +478,74 @@ def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
 
 
 # ---------------------------------------------------------------------------
+# simplex regions: integer barycentres against the Fraction reference, and
+# induced labelings at the reference positions
+# ---------------------------------------------------------------------------
+
+
+def _assert_subdivision_matches_reference(vertices, depth):
+    from reference_degree import subdivide_with_positions
+
+    from fraccore.topology.degree import _subdivide_with_positions
+
+    oc = simplex_boundary(len(vertices) - 1)
+    got, positions = _subdivide_with_positions(oc, list(vertices), depth)
+    ref, ref_positions = subdivide_with_positions(oc, list(vertices), depth)
+    assert got.complex == ref.complex
+    assert got.orientation == ref.orientation
+    assert positions == ref_positions
+    assert repr(positions) == repr(ref_positions)
+
+
+@pytest.mark.parametrize("depth", range(5))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_integer_barycentres_match_fraction_reference(depth, data):
+    k = data.draw(st.integers(1, 3), label="k")
+    n = data.draw(st.integers(1, 4), label="n")
+    point = st.tuples(*[values] * n)
+    vertices = data.draw(st.lists(point, min_size=k + 1, max_size=k + 1), label="vertices")
+    _assert_subdivision_matches_reference(vertices, depth)
+
+
+def test_integer_barycentres_match_fraction_reference_at_depth_six():
+    vertices = [(Q(-7, 2), 5, Q(1, 3)), (2, Q(-9, 4), 0), (-1, -1, Q(6, 5))]
+    _assert_subdivision_matches_reference([tuple(map(Q, v)) for v in vertices], 6)
+
+
+def _triangle(c):
+    third = Q(1, 3)
+    return tuple(
+        tuple(-c * ((Q(1) if j == i else Q(0)) - third) for j in range(3)) for i in range(3)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, vertices, depth",
+    [
+        (3, _triangle(Q(60)), 0),
+        (3, _triangle(Q(60)), 3),
+        (3, _triangle(Q(-121, 2)), 6),
+        (3, ((Q(-7, 2), 5, Q(1, 3)), (2, Q(-9, 4), 0), (-40, 11, Q(-5, 6))), 4),
+        (4, tuple(tuple(Q(-9 if j == i else 3, 2) for j in range(4)) for i in range(4)), 2),
+    ],
+)
+def test_induced_simplex_labeling_reads_cover_labels_at_reference_positions(n, vertices, depth):
+    from reference_degree import subdivide_with_positions
+
+    from fraccore.game_model import cover_labels
+
+    game = _cube_game(n)
+    region = SimplexRegion(vertices)
+    lc = induce_labeling(game, region, depth)
+    oc, positions = subdivide_with_positions(
+        simplex_boundary(len(vertices) - 1), list(region.vertices), depth
+    )
+    assert lc.oriented == oc
+    assert lc.labels == tuple(cover_labels(game.utilities, p) for p in positions)
+
+
+# ---------------------------------------------------------------------------
 # cube regions: the boundary grid against its frame-vector reference, and
 # induced labelings of payoff dimensions 3 and 4
 # ---------------------------------------------------------------------------
@@ -542,6 +610,13 @@ def test_induced_cube_labeling_is_a_closed_coherent_boundary(n, center, halfwidt
         coeffs = [(p[i] - region.center[i]) / region.halfwidth for i in range(d)]
         assert max(abs(c) for c in coeffs) == 1
     assert isinstance(pl_degree(lc), (Degree, BalancedSimplexFound))
+
+
+@pytest.mark.parametrize("halfwidth", [0, "0", "0/3", -1, "-1/2", Q(-3, 4)])
+def test_cube_region_rejects_nonpositive_halfwidth(halfwidth):
+    # zero puts every vertex on the center; a negative value reflects the grid
+    with pytest.raises(ValueError, match="halfwidth must be positive"):
+        CubeRegion((0, 0, 0), halfwidth)
 
 
 def test_cube_region_rejects_other_dimensions():

@@ -201,23 +201,40 @@ def test_properness_always_holds_for_class():
 
 
 def test_cover_labels_evaluates_each_uplift_once(monkeypatch):
-    calls = []
-    uplift = ComprehensiveSet.uplift
+    """``cover_labels``, ``in_induced_cover`` and ``tau`` scale the point
+    once and read each set's slack exactly once, without going through the
+    public ``uplift``."""
+    from fraccore import game_model
 
-    def counting(self, x):
-        calls.append(self)
-        return uplift(self, x)
-
-    monkeypatch.setattr(ComprehensiveSet, "uplift", counting)
     fam = [orthant_set((1, 0)), orthant_set((0, 1)), orthant_set((2, -1), (-1, 2))]
-    for x in [(0, 0), (1, 0), (-3, 5)]:
-        calls.clear()
+    scalings, slacks, uplifts = [], [], []
+    clear, slack = game_model._clear_denominators, ComprehensiveSet._slack
+
+    def counting_clear(values):
+        scalings.append(tuple(values))
+        return clear(values)
+
+    def counting_slack(self, p, d):
+        slacks.append(self)
+        return slack(self, p, d)
+
+    monkeypatch.setattr(game_model, "_clear_denominators", counting_clear)
+    monkeypatch.setattr(ComprehensiveSet, "_slack", counting_slack)
+    monkeypatch.setattr(ComprehensiveSet, "uplift", lambda self, x: uplifts.append(self))
+    for x in [(0, 0), (1, 0), (-3, 5), (Q(1, 2), Q(-2, 3))]:
+        calls = [lambda: cover_labels(fam, x), lambda: tau(fam, x)]
+        calls += [lambda i=i: in_induced_cover(fam, i, x) for i in range(len(fam))]
+        for call in calls:
+            scalings.clear()
+            slacks.clear()
+            call()
+            assert scalings == [vec(x)]
+            assert sorted(map(id, slacks)) == sorted(map(id, fam))
+        assert not uplifts
         labels = cover_labels(fam, x)
-        assert sorted(map(id, calls)) == sorted(map(id, fam))
-        for i in range(len(fam)):
-            calls.clear()
-            assert in_induced_cover(fam, i, x) == (i in labels)
-            assert len(calls) == len(fam)
+        assert [in_induced_cover(fam, i, x) for i in range(len(fam))] == [
+            i in labels for i in range(len(fam))
+        ]
 
 
 def test_cover_labels_dimension_check():
