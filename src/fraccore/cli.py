@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from importlib import resources
@@ -478,6 +479,22 @@ class _UsageError(Exception):
     pass
 
 
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_signed_values(argv):
+    """Write ``--halfwidth -1/2`` as ``--halfwidth=-1/2``: argparse reads a
+    separate "-1/2" (unlike "-1") as an option, but an attached one as the
+    value, which the halfwidth check then rejects with exit 3."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--halfwidth" and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="fraccore", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -549,7 +566,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
         verdict, details = args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

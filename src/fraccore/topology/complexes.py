@@ -3,12 +3,19 @@
 Facets are sorted vertex tuples of uniform dimension.  An orientation is a
 sign per facet, coherent when the two induced signs on every interior ridge
 cancel; the induced sign of a facet (v0<...<vk, s) on the ridge omitting
-position p is s*(-1)^p.
+position p is s*(-1)^p.  ``ridges_coherent`` is that rule over one
+``ridges()`` map, so a caller that also checks closedness builds the map once.
+
+Barycentric subdivision reads each facet off a flag table per facet size k,
+built once: the k positions' 2^k - 1 faces in the order the permutations of
+range(k) first reach them, each permutation's chain of those faces with its
+sign, and the sign of every permutation for sorting a flag's vertex ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 from ..errors import NotClosedManifold
@@ -106,16 +113,20 @@ class OrientedComplex:
         return OrientedComplex(self.complex, tuple(-s for s in self.orientation))
 
     def coherent(self) -> bool:
-        for ridge, incidence in self.complex.ridges().items():
-            if len(incidence) == 2:
-                total = sum(
-                    self.orientation[fi] * (-1) ** p for fi, p in incidence
-                )
-                if total != 0:
-                    return False
-            elif len(incidence) > 2:
+        return ridges_coherent(self.orientation, self.complex.ridges().values())
+
+
+def ridges_coherent(orientation, incidences) -> bool:
+    """The coherence rule over ``ridges()`` values: no ridge lies in more
+    than two facets, and the two induced signs on an interior ridge cancel."""
+    for incidence in incidences:
+        if len(incidence) == 2:
+            total = sum(orientation[fi] * (-1) ** p for fi, p in incidence)
+            if total != 0:
                 return False
-        return True
+        elif len(incidence) > 2:
+            return False
+    return True
 
 
 def propagate_orientation(K: SimplicialComplex):
@@ -254,32 +265,50 @@ class Subdivision:
     carriers: tuple
 
 
+@cache
+def _flag_table(k: int):
+    """For facet size k: the positions of the 2^k - 1 faces in the order
+    the permutations of range(k) first reach them, each permutation's chain
+    of face indices with its sign, and {permutation: sign}."""
+    masks = {}
+    flags = []
+    signs = {}
+    for perm in permutations(range(k)):
+        chain = []
+        mask = 0
+        for idx in perm:
+            mask |= 1 << idx
+            chain.append(masks.setdefault(mask, len(masks)))
+        signs[perm] = _perm_sign(perm)
+        flags.append((tuple(chain), signs[perm]))
+    faces = tuple(tuple(i for i in range(k) if mask >> i & 1) for mask in masks)
+    return faces, tuple(flags), signs
+
+
 def barycentric_subdivision(oc: OrientedComplex) -> Subdivision:
+    """One flag of faces f_1 < ... < f_k per facet and permutation of its
+    positions, signed by the facet, the permutation and the sort of the
+    flag's vertex ids.  Faces are numbered in first-seen order: per facet,
+    in the order of ``_flag_table``, which is the order the permutations
+    reach them."""
     face_ids = {}
     carriers = []
-
-    def face_id(face):
-        if face not in face_ids:
-            face_ids[face] = len(carriers)
-            carriers.append(face)
-        return face_ids[face]
-
     sd_facets = []
     sd_signs = []
-    for fi, f in enumerate(oc.complex.facets):
-        base_sign = oc.orientation[fi]
-        k = len(f)
-        for perm in permutations(range(k)):
-            chain = []
-            acc = []
-            for idx in perm:
-                acc.append(f[idx])
-                chain.append(face_id(tuple(sorted(acc))))
-            sign = base_sign * _perm_sign(perm)
-            order = sorted(range(k), key=lambda i: chain[i])
-            sorted_chain = tuple(chain[i] for i in order)
-            sign *= _perm_sign(tuple(order))
-            sd_facets.append(sorted_chain)
-            sd_signs.append(sign)
+    for f, base_sign in zip(oc.complex.facets, oc.orientation):
+        faces, flags, signs = _flag_table(len(f))
+        ids = []
+        for positions in faces:
+            face = tuple([f[i] for i in positions])
+            w = face_ids.get(face)
+            if w is None:
+                w = face_ids[face] = len(carriers)
+                carriers.append(face)
+            ids.append(w)
+        for chain, sign in flags:
+            flag = [ids[i] for i in chain]
+            ordered = sorted(flag)
+            sd_facets.append(tuple(ordered))
+            sd_signs.append(base_sign * sign * signs[tuple(map(flag.index, ordered))])
     K = SimplicialComplex(len(carriers), tuple(sd_facets))
     return Subdivision(OrientedComplex(K, tuple(sd_signs)), tuple(carriers))

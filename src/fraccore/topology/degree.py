@@ -24,6 +24,7 @@ from .complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     propagate_orientation,
+    ridges_coherent,
     simplex_boundary,
 )
 
@@ -112,28 +113,37 @@ def pl_degree(lc: LabeledCover):
     finitely many hyperplanes, which the moment curve meets finitely often).
     The curve starts at s = 2: s = 1 gives (1, ..., 1), which lies on the
     symmetric faces of identity and Sperner covers and so forces a retry.
+
+    Closedness and coherence are read off one ``ridges()`` map.  A facet's
+    crossing depends only on its ordered tuple of chosen labels, so each ray
+    reduces once per distinct tuple and looks the rest up.
     """
     oc = lc.oriented
     K = oc.complex
-    if any(len(inc) != 2 for inc in K.ridges().values()):
+    incidences = K.ridges().values()
+    if any(len(inc) != 2 for inc in incidences):
         raise NotClosedManifold("pl_degree needs every ridge in exactly two facets")
-    if not oc.coherent():
+    if not ridges_coherent(oc.orientation, incidences):
         raise NotClosedManifold("orientation is not coherent")
     k = K.dim
     coords = _affine_coordinates(lc.firm_system, k)
     chosen = [min(ls) for ls in lc.labels]
+    facet_labels = [tuple([chosen[u] for u in facet]) for facet in K.facets]
     balanced = balance_test(lc.firm_system, "convex")
-    for facet in K.facets:
-        if balanced({chosen[u] for u in facet}):
+    for facet, labels in zip(K.facets, facet_labels):
+        if balanced(set(labels)):
             return BalancedSimplexFound(facet)
     # orientation convention: the sphere around the resource is oriented so
     # that the identity labeling of the standard simplex boundary has degree
     # +1; in the greedy difference basis that costs a factor (-1)^(k+1)
     normalizer = (-1) ** (k + 1)
     for ray in _ray_candidates(k):
+        crossings = {}
         total = 0
-        for facet, sign in zip(K.facets, oc.orientation):
-            crossing = _crossing([coords[chosen[u]] for u in facet], ray)
+        for labels, sign in zip(facet_labels, oc.orientation):
+            if labels not in crossings:
+                crossings[labels] = _crossing([coords[i] for i in labels], ray)
+            crossing = crossings[labels]
             if crossing == 0:
                 break
             if crossing:

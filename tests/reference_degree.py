@@ -6,22 +6,28 @@ crossing takes ``solve_square``, a ``gaussian_solve`` fallback and ``det``,
 and the coordinates take ``affine_basis`` plus one ``gaussian_solve`` per
 firm.  The cube boundary builds its positions from explicit frame vectors
 and signs the square's cycle by hand.  The subdivision carries ``Fraction``
-barycentres level by level, where ``degree`` keeps integer numerators over
-one common denominator.  Every function here must return exactly what its
-private namesake there returns.
+barycentres level by level over the per-permutation subdivision of
+``reference_complexes``, where ``degree`` keeps integer numerators over one
+common denominator.  The degree takes one crossing per facet per ray, where
+``pl_degree`` takes one per distinct ordered label tuple per ray.  Every
+function here must return exactly what its namesake there returns; the
+degree also returns the number of rays it tried.
 """
 
 from __future__ import annotations
 
-from fraccore.errors import DimensionMismatch
+from reference_complexes import barycentric_subdivision
+
+from fraccore.balance import balance_test
+from fraccore.errors import DimensionMismatch, NotClosedManifold
 from fraccore.linalg import affine_basis, det, gaussian_solve, solve_square
 from fraccore.rationals import ONE, ZERO, rat
 from fraccore.topology.complexes import (
     OrientedComplex,
     SimplicialComplex,
-    barycentric_subdivision,
     propagate_orientation,
 )
+from fraccore.topology.degree import BalancedSimplexFound, Degree, _ray_candidates
 
 
 def crossing(cols, ray):
@@ -38,6 +44,35 @@ def crossing(cols, ray):
     if all(c > ZERO for c in sol):
         return 1 if det(matrix) > ZERO else -1
     return None
+
+
+def pl_degree(lc):
+    """``pl_degree`` with one reference crossing per facet per ray, and the
+    number of rays tried (0 when a balanced facet is returned)."""
+    oc = lc.oriented
+    K = oc.complex
+    if any(len(inc) != 2 for inc in K.ridges().values()):
+        raise NotClosedManifold("pl_degree needs every ridge in exactly two facets")
+    if not oc.coherent():
+        raise NotClosedManifold("orientation is not coherent")
+    k = K.dim
+    coords = affine_coordinates(lc.firm_system, k)
+    chosen = [min(ls) for ls in lc.labels]
+    balanced = balance_test(lc.firm_system, "convex")
+    for facet in K.facets:
+        if balanced({chosen[u] for u in facet}):
+            return BalancedSimplexFound(facet), 0
+    for tried, ray in enumerate(_ray_candidates(k), 1):
+        total = 0
+        for facet, sign in zip(K.facets, oc.orientation):
+            c = crossing([coords[chosen[u]] for u in facet], ray)
+            if c == 0:
+                break
+            if c:
+                total += sign * c
+        else:
+            return Degree((-1) ** (k + 1) * total), tried
+    raise AssertionError("unreachable")
 
 
 def affine_coordinates(fs, k):

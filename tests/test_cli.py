@@ -299,6 +299,8 @@ def test_balance_firm_system_not_an_object(capsys, tmp_path):
         (["--region", "cube", "--center", "{}"], "$.center"),
         (["--region", "cube", "--center", "[0,0,0]", "--halfwidth", "0"], "$.halfwidth"),
         (["--region", "cube", "--center", "[0,0,0]", "--halfwidth=-1/2"], "$.halfwidth"),
+        (["--region", "cube", "--center", "[0,0,0]", "--halfwidth", "-1/2"], "$.halfwidth"),
+        (["--region", "cube", "--center", "[0,0,0]", "--halfwidth", "-0.5"], "$.halfwidth"),
     ],
 )
 def test_induce_cover_malformed_region(capsys, region, path):

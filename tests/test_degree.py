@@ -449,7 +449,8 @@ def ray_on_image_cover():
         (lambda: identity_cover(1), 3),
         (lambda: identity_cover(2), 4),
         (lambda: identity_cover(3), 5),
-        (lambda: _fixture_covers()[3], 24),
+        # 24 facets, but only 9 distinct ordered label tuples
+        (lambda: _fixture_covers()[3], 9),
         # (1, 2) is the negative of the third firm's image, so it lies in
         # the span of the first facet's column and the second ray is tried
         (lambda: ray_on_image_cover(), 1 + 3),
@@ -459,6 +460,8 @@ def ray_on_image_cover():
     ids=["identity-1", "identity-2", "identity-3", "sperner", "retry", "balanced"],
 )
 def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
+    # the name predates the per-ray memo: a facet whose ordered label tuple
+    # an earlier facet had reuses that facet's reduction
     from fraccore import linalg
     from fraccore.topology import degree
 
@@ -473,8 +476,108 @@ def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
     monkeypatch.setattr(linalg, "_reduce", counting)
     monkeypatch.setattr(degree, "_reduce", counting, raising=False)
     pl_degree(lc)
-    # one reduction for the firm coordinates, one per facet per ray tried
+    # one reduction for the firm coordinates, then one per distinct ordered
+    # chosen-label tuple per ray tried
     assert len(calls) == 1 + tried
+
+
+@st.composite
+def ray_prone_covers(draw):
+    """Closed spheres labelled from unit firms and extra firms that are
+    often positive multiples of the first or second ray, so a facet whose
+    chosen labels include one has the ray in a column's span and forces a
+    retry; the resource shifts every firm and leaves the coordinates alone.
+    Sperner labelings over the unit firms and -(1, ..., 1), the last firm,
+    give nonzero degrees."""
+    k = draw(st.integers(1, 2), label="k")
+    depth = draw(st.integers(0, 1), label="depth")
+    oc, carriers = sperner_complex(k, depth)
+    n = k + 1
+    rays = [tuple(s**p for p in range(n)) for s in (2, 3)]
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    extra = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(*[st.integers(-3, 3)] * n),
+                st.builds(
+                    lambda c, ray: tuple(c * x for x in ray),
+                    st.integers(1, 3),
+                    st.sampled_from(rays),
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        label="extra",
+    )
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * n), label="shift")
+    # unit firms first, so the greedy basis is theirs and coordinates are
+    # the vectors drawn
+    vectors = unit + extra + [(-1,) * n]
+    fs = FirmSystem(firms=[tuple(a + b for a, b in zip(v, shift)) for v in vectors], resource=shift)
+    # hypothesis favours small draws; count them from the last firm so the
+    # extra firms are the ones favoured
+    last = len(vectors) - 1
+    index = st.integers(0, last).map(lambda i: last - i)
+    sperner = draw(st.booleans(), label="sperner")
+    labels = []
+    for c in carriers:
+        if sperner and draw(st.integers(0, 3)):
+            # carrier vertex v < n is unit firm v, and v = n the last firm
+            v = draw(st.sampled_from(c))
+            labels.append({v if v < n else last})
+        else:
+            labels.append(draw(st.sets(index, min_size=1, max_size=2)))
+    # a vertex whose chosen firm is a multiple of the first ray makes every
+    # facet through it degenerate for that ray
+    on_first_ray = {
+        n + i for i, v in enumerate(extra) if v[0] > 0 and v == tuple(v[0] * x for x in rays[0])
+    }
+    forced = any(min(ls) in on_first_ray for ls in labels)
+    return LabeledCover(oc, labels, fs), forced
+
+
+@given(ray_prone_covers())
+@settings(max_examples=150, deadline=None)
+def test_pl_degree_matches_the_per_facet_reference_loop(case):
+    import reference_degree
+
+    lc, forced = case
+    expected, tried = reference_degree.pl_degree(lc)
+    assert pl_degree(lc) == expected
+    if forced:
+        assert isinstance(expected, BalancedSimplexFound) or tried > 1
+
+
+def test_a_label_on_the_first_ray_forces_a_retry():
+    # the retry path the strategy above aims at, on one fixed cover
+    import reference_degree
+
+    fs = FirmSystem(firms=[(1, 0), (0, 1), (2, 4)], resource=(0, 0))
+    oc, _ = sperner_complex(1, 1)
+    labels = [frozenset({2 if u == 0 else u % 2}) for u in range(oc.complex.num_vertices)]
+    lc = LabeledCover(oc, labels, fs)
+    expected, tried = reference_degree.pl_degree(lc)
+    assert tried > 1 and isinstance(expected, Degree)
+    assert pl_degree(lc) == expected
+
+
+@pytest.mark.parametrize(
+    "facets, signs, message",
+    [
+        # a path: its two end ridges lie in one facet each
+        (((0, 1), (1, 2)), (1, 1), "every ridge in exactly two facets"),
+        # open and incoherent: the closedness check comes first
+        (((0, 1), (1, 2)), (1, -1), "every ridge in exactly two facets"),
+        # a closed cycle with one sign flipped
+        (((0, 1), (1, 2), (0, 2)), (1, 1, 1), "orientation is not coherent"),
+    ],
+)
+def test_pl_degree_rejects_open_or_incoherent_complexes(facets, signs, message):
+    fs = FirmSystem(firms=[(1, 0), (0, 1), (-1, -1)], resource=("1/3", "1/3"))
+    oc = OrientedComplex(SimplicialComplex(3, facets), signs)
+    with pytest.raises(NotClosedManifold, match=message):
+        pl_degree(LabeledCover(oc, [frozenset({0})] * 3, fs))
 
 
 # ---------------------------------------------------------------------------
