@@ -298,7 +298,11 @@ def _cmd_induce_cover(args):
             region = topo_degree.CubeRegion(center, halfwidth)
         except ValueError as exc:
             raise MalformedInput(f"$.halfwidth: {exc}") from exc
-    lc = topo_degree.induce_labeling(game, region, args.depth)
+    try:
+        lc = topo_degree.induce_labeling(game, region, args.depth)
+    except ValueError as exc:
+        # the only ValueError here: a negative depth
+        raise MalformedInput(f"$.depth: {exc}") from exc
     sys.stdout.write(serialize(cover_to_json(lc)))
     return None, None
 

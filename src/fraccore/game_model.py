@@ -15,8 +15,12 @@ then decide everything by integer comparisons and cross-multiplication, as
 the elimination kernel in ``linalg`` does.  ``tau`` and ``cover_labels``
 scale the point once for all the sets and compare the sets' integer slacks
 by cross-multiplying, exact since every gauge is positive and the
-denominator is common.  A rational is built only for a returned value: one
-per ``uplift`` or ``tau`` call, none per ``cover_labels`` call.
+denominator is common.  ``cover_labels`` is one labelling kernel,
+``_labels``, on the scaled point; induced labelings in ``topology.degree``
+call that kernel directly on the integer numerators of each vertex over the
+region's common denominator.  A rational is built only for a returned
+value: one per ``uplift`` or ``tau`` call, none per ``cover_labels`` call
+and none per induced-cover vertex.
 """
 
 from __future__ import annotations
@@ -243,10 +247,9 @@ def _greatest(slacks) -> tuple:
     return best_s, best_g
 
 
-def _set_slacks(utilities, x) -> tuple:
-    """(slacks, d): every set's slack (s, g) at x, once each, and the
-    point's common denominator d, so set i's uplift is s_i / (g_i * d).
-    Dimensions are checked and the point is scaled once for all sets."""
+def _scaled_for(utilities, x) -> tuple:
+    """(utilities, p, d): the sets as a tuple and x == p / d, scaled once
+    for all of them after checking that every set has the point's length."""
     x = vec(x)
     utilities = tuple(utilities)
     if not utilities:
@@ -254,7 +257,7 @@ def _set_slacks(utilities, x) -> tuple:
     if any(u.dim != len(x) for u in utilities):
         raise DimensionMismatch("point dimension does not match utilities")
     p, d = _clear_denominators(x)
-    return [u._slack(p, d) for u in utilities], d
+    return utilities, p, d
 
 
 def tau(utilities, x) -> "Q":
@@ -263,8 +266,8 @@ def tau(utilities, x) -> "Q":
     Closed form: max over primitives of min over half-spaces of
     (offset - <a,x>) / <a,ones>; finite because every gauge is positive.
     """
-    slacks, d = _set_slacks(utilities, x)
-    s, g = _greatest(slacks)
+    utilities, p, d = _scaled_for(utilities, x)
+    s, g = _greatest([u._slack(p, d) for u in utilities])
     return Q(s, g * d)
 
 
@@ -274,9 +277,15 @@ def in_induced_cover(utilities, i: int, x) -> bool:
 
 
 def cover_labels(utilities, x) -> frozenset:
-    """All indices whose set attains the uplift at x (never empty): set i
-    is a label when s_i * g == s * g_i for the greatest slack (s, g)."""
-    slacks, _ = _set_slacks(utilities, x)
+    """All indices whose set attains the uplift at x (never empty)."""
+    return _labels(*_scaled_for(utilities, x))
+
+
+def _labels(utilities, p, d) -> frozenset:
+    """``cover_labels`` at the point p / d (p integer, d > 0), whose length
+    the caller has checked: set i is a label when s_i * g == s * g_i for
+    the greatest of the sets' slacks (s, g), each read once."""
+    slacks = [u._slack(p, d) for u in utilities]
     s, g = _greatest(slacks)
     return frozenset(i for i, (si, gi) in enumerate(slacks) if si * g == s * gi)
 

@@ -16,7 +16,7 @@ from math import lcm
 
 from ..balance import balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
-from ..game_model import FirmSystem, GeneralizedGame, cover_labels
+from ..game_model import FirmSystem, GeneralizedGame, _labels
 from ..linalg import _clear_denominators, _reduce
 from ..rationals import Q, rat, vec
 from .complexes import (
@@ -115,8 +115,10 @@ def pl_degree(lc: LabeledCover):
     symmetric faces of identity and Sperner covers and so forces a retry.
 
     Closedness and coherence are read off one ``ridges()`` map.  A facet's
-    crossing depends only on its ordered tuple of chosen labels, so each ray
-    reduces once per distinct tuple and looks the rest up.
+    balance and crossing depend only on its ordered tuple of chosen labels,
+    so the balance scan tests each distinct tuple once, in the order the
+    facets first reach them (which returns the first balanced facet), and
+    each ray reduces once per distinct tuple and looks the rest up.
     """
     oc = lc.oriented
     K = oc.complex
@@ -130,7 +132,10 @@ def pl_degree(lc: LabeledCover):
     chosen = [min(ls) for ls in lc.labels]
     facet_labels = [tuple([chosen[u] for u in facet]) for facet in K.facets]
     balanced = balance_test(lc.firm_system, "convex")
+    first_facet = {}
     for facet, labels in zip(K.facets, facet_labels):
+        first_facet.setdefault(labels, facet)
+    for labels, facet in first_facet.items():
         if balanced(set(labels)):
             return BalancedSimplexFound(facet)
     # orientation convention: the sphere around the resource is oriented so
@@ -155,13 +160,20 @@ def pl_degree(lc: LabeledCover):
 
 def _balanced_facets(lc: LabeledCover, mode: str):
     """Indices of the facets whose vertex-label union contains a balanced
-    firm subset."""
+    firm subset; the union is built and tested once per distinct ordered
+    tuple of the facet's vertex labels."""
     balanced = balance_test(lc.firm_system, mode)
-    return [
-        idx
-        for idx, facet in enumerate(lc.oriented.complex.facets)
-        if balanced(frozenset().union(*(lc.labels[u] for u in facet)))
-    ]
+    labels = lc.labels
+    verdicts = {}
+    out = []
+    for idx, facet in enumerate(lc.oriented.complex.facets):
+        key = tuple([labels[u] for u in facet])
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = balanced(frozenset().union(*key))
+        if verdict:
+            out.append(idx)
+    return out
 
 
 def rainbow_simplices(lc: LabeledCover, mode: str = "cone"):
@@ -235,10 +247,10 @@ class CubeRegion:
 def _subdivide_with_positions(oc: OrientedComplex, positions, depth: int):
     """Subdivide ``depth`` times, carrying vertex positions.
 
-    Positions are integer numerators over one common denominator D.  Each
-    level multiplies D by L = lcm(1..facet size), so the barycentre of a
-    face is (L / |face|) times the sum of its vertices' numerators; one
-    rational per coordinate is built at the end.
+    Returns (oriented complex, numerators, D): every position is its tuple
+    of integer numerators over one common denominator D.  Each level
+    multiplies D by L = lcm(1..facet size), so the barycentre of a face is
+    (L / |face|) times the sum of its vertices' numerators.
     """
     n = len(positions[0])
     nums, D = _clear_denominators([c for p in positions for c in p])
@@ -252,12 +264,14 @@ def _subdivide_with_positions(oc: OrientedComplex, positions, depth: int):
         ]
         D *= L
         oc = sub.oriented
-    return oc, [tuple(Q(c, D) for c in p) for p in pts]
+    return oc, pts, D
 
 
 def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
     """Triangulated boundary of a cube in d = n_coords - 1 frame coords,
-    oriented by propagation from its first facet."""
+    oriented by propagation from its first facet, as (oriented complex,
+    numerators, D): every position is its tuple of integer numerators over
+    one common denominator D."""
     d = n_coords - 1
     if d not in (2, 3):
         raise DimensionMismatch("cube regions support payoff dimensions 3 and 4")
@@ -275,7 +289,7 @@ def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
             verts[coeffs] = len(positions)
             pos = [b + h * c for b, c in zip(base, coeffs)]
             pos.append(base[-1] - h * sum(coeffs))
-            positions.append(tuple(Q(c, denom) for c in pos))
+            positions.append(tuple(pos))
         return verts[coeffs]
 
     grid = range(-steps, steps + 1, 2)
@@ -308,12 +322,20 @@ def _cube_boundary_grid(n_coords: int, center, halfwidth, depth: int):
     # a connected closed surface or cycle: coherent from its first facet
     oc = propagate_orientation(SimplicialComplex(len(positions), tuple(facets)))
     assert oc is not None
-    return oc, positions
+    return oc, positions, denom
 
 
 def induce_labeling(game: GeneralizedGame, region, depth: int) -> LabeledCover:
     """Triangulate the region's boundary and label every vertex with its
-    exact induced-cover membership set."""
+    exact induced-cover membership set.
+
+    The dimension is checked once per region; each vertex is labelled by
+    ``cover_labels``' kernel on its integer numerators over the region's
+    common denominator, which gives the same labels, since scaling every
+    slack by one positive denominator keeps their cross-multiplied order.
+    """
+    if depth < 0:
+        raise ValueError(f"subdivision depth must be nonnegative, got {depth}")
     if depth > MAX_DEPTH:
         raise CapExceeded(f"subdivision depth {depth} exceeds cap {MAX_DEPTH}")
     n = game.dim
@@ -321,15 +343,13 @@ def induce_labeling(game: GeneralizedGame, region, depth: int) -> LabeledCover:
         pts = region.vertices
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("region vertices must live in the payoff space")
-        k = len(pts) - 1
-        oc = simplex_boundary(k)
-        positions = list(pts)
-        oc, positions = _subdivide_with_positions(oc, positions, depth)
+        oc = simplex_boundary(len(pts) - 1)
+        oc, positions, D = _subdivide_with_positions(oc, pts, depth)
     elif isinstance(region, CubeRegion):
         if len(region.center) != n:
             raise DimensionMismatch("region center must live in the payoff space")
-        oc, positions = _cube_boundary_grid(n, region.center, region.halfwidth, depth)
+        oc, positions, D = _cube_boundary_grid(n, region.center, region.halfwidth, depth)
     else:
         raise TypeError("region must be a SimplexRegion or CubeRegion")
-    labels = tuple(cover_labels(game.utilities, p) for p in positions)
+    labels = tuple(_labels(game.utilities, p, D) for p in positions)
     return LabeledCover(oc, labels, game.firm_system)

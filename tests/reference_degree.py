@@ -9,16 +9,19 @@ and signs the square's cycle by hand.  The subdivision carries ``Fraction``
 barycentres level by level over the per-permutation subdivision of
 ``reference_complexes``, where ``degree`` keeps integer numerators over one
 common denominator.  The degree takes one crossing per facet per ray, where
-``pl_degree`` takes one per distinct ordered label tuple per ray.  Every
-function here must return exactly what its namesake there returns; the
-degree also returns the number of rays it tried.
+``pl_degree`` takes one per distinct ordered label tuple per ray, and its
+balance scan tests every facet in turn.  The balanced facets solve one
+balancing LP per facet, where ``_balanced_facets`` tests each distinct
+ordered tuple of vertex labels once.  Every function here must return
+exactly what its namesake there returns; the degree also returns the
+number of rays it tried.
 """
 
 from __future__ import annotations
 
 from reference_complexes import barycentric_subdivision
 
-from fraccore.balance import balance_test
+from fraccore.balance import balance_test, balancing_weights, convex_balancing_weights
 from fraccore.errors import DimensionMismatch, NotClosedManifold
 from fraccore.linalg import affine_basis, det, gaussian_solve, solve_square
 from fraccore.rationals import ONE, ZERO, rat
@@ -183,3 +186,14 @@ def subdivide_with_positions(oc, positions, depth: int):
         oc = sub.oriented
         positions = new_positions
     return oc, positions
+
+
+def balanced_facets(lc, mode: str):
+    """``_balanced_facets``: the indices of the facets whose vertex-label
+    union admits balancing weights, one LP per facet."""
+    lp = convex_balancing_weights if mode == "convex" else balancing_weights
+    return [
+        idx
+        for idx, facet in enumerate(lc.oriented.complex.facets)
+        if lp(sorted(set().union(*(lc.labels[u] for u in facet))), lc.firm_system) is not None
+    ]

@@ -285,6 +285,9 @@ def test_balance_firm_system_not_an_object(capsys, tmp_path):
     assert_malformed(capsys, ["balance", "equivalent", *other], "$")
 
 
+TRIANGLE = "[[-40,20,20],[20,-40,20],[20,20,-40]]"
+
+
 @pytest.mark.parametrize(
     "region, path",
     [
@@ -301,6 +304,12 @@ def test_balance_firm_system_not_an_object(capsys, tmp_path):
         (["--region", "cube", "--center", "[0,0,0]", "--halfwidth=-1/2"], "$.halfwidth"),
         (["--region", "cube", "--center", "[0,0,0]", "--halfwidth", "-1/2"], "$.halfwidth"),
         (["--region", "cube", "--center", "[0,0,0]", "--halfwidth", "-0.5"], "$.halfwidth"),
+        # a negative depth, attached to the option or as a separate argument
+        (["--vertices", TRIANGLE, "--depth=-1"], "$.depth"),
+        (["--vertices", TRIANGLE, "--depth", "-1"], "$.depth"),
+        (["--vertices", TRIANGLE, "--depth", "-3"], "$.depth"),
+        (["--region", "cube", "--center", "[0,0,0]", "--depth=-1"], "$.depth"),
+        (["--region", "cube", "--center", "[0,0,0]", "--depth", "-1"], "$.depth"),
     ],
 )
 def test_induce_cover_malformed_region(capsys, region, path):

@@ -164,6 +164,21 @@ def test_induce_labeling_rejections():
         induce_labeling(game, triangle.vertices, 0)
 
 
+@pytest.mark.parametrize("depth", [-1, -3])
+@pytest.mark.parametrize(
+    "region",
+    [
+        SimplexRegion([(0, 0, 0), (1, 0, 0), (0, 1, 0)]),
+        CubeRegion((0, 0, 0), 1),
+    ],
+    ids=["simplex", "cube"],
+)
+def test_induce_labeling_rejects_a_negative_depth(region, depth):
+    game = embed_coalitional(loss_sharing_tu())
+    with pytest.raises(ValueError, match=f"depth must be nonnegative, got {depth}"):
+        induce_labeling(game, region, depth)
+
+
 def test_embedded_cover_degree_one_quick():
     game = embed_coalitional(loss_sharing_tu())
     c = Q(60)
@@ -269,43 +284,150 @@ def _fixture_covers():
     return tuple(covers)
 
 
-def _per_facet(lc, fn, label_sets):
-    return [
-        i
-        for i, facet in enumerate(lc.oriented.complex.facets)
-        if fn(sorted(label_sets(facet)), lc.firm_system) is not None
-    ]
+def _assert_balanced_facets_match_the_reference(lc):
+    import reference_degree
+
+    from fraccore.topology.index import balanced_facet_indices
+
+    facets = lc.oriented.complex.facets
+    for mode in ("cone", "convex"):
+        expected = reference_degree.balanced_facets(lc, mode)
+        assert rainbow_simplices(lc, mode) == [facets[i] for i in expected]
+    assert balanced_facet_indices(lc) == reference_degree.balanced_facets(lc, "convex")
 
 
 def test_topology_balancedness_matches_per_facet_lps():
-    from fraccore.balance import balancing_weights, convex_balancing_weights
-    from fraccore.topology.index import balanced_facet_indices
+    from fraccore.balance import convex_balancing_weights
 
     degrees = 0
     for lc in _fixture_covers():
-        facets = lc.oriented.complex.facets
-
-        def union(facet, lc=lc):
-            return set().union(*(lc.labels[u] for u in facet))
-
-        def lowest(facet, lc=lc):
-            return {min(lc.labels[u]) for u in facet}
-
-        for mode, fn in (("cone", balancing_weights), ("convex", convex_balancing_weights)):
-            expected = [facets[i] for i in _per_facet(lc, fn, union)]
-            assert rainbow_simplices(lc, mode) == expected
-        assert balanced_facet_indices(lc) == _per_facet(lc, convex_balancing_weights, union)
+        _assert_balanced_facets_match_the_reference(lc)
         try:
             res = pl_degree(lc)
         except (DimensionMismatch, NotClosedManifold):
             continue
-        first = _per_facet(lc, convex_balancing_weights, lowest)[:1]
+        # the first facet whose lowest labels are convex balanced, by LP
+        first = [
+            facet
+            for facet in lc.oriented.complex.facets
+            if convex_balancing_weights(
+                sorted({min(lc.labels[u]) for u in facet}), lc.firm_system
+            )
+            is not None
+        ][:1]
         if first:
-            assert res == BalancedSimplexFound(facets[first[0]])
+            assert res == BalancedSimplexFound(first[0])
         else:
             assert isinstance(res, Degree)
             degrees += 1
     assert degrees >= 3
+
+
+@st.composite
+def balance_covers(draw):
+    """Sperner covers of unit firms, random label sets over small random
+    firm systems, and plane-field covers with extra labels added."""
+    from fraccore.gallery import plane_field_cover
+
+    kind = draw(st.sampled_from(["sperner", "random", "field"]), label="kind")
+    if kind == "field":
+        count = draw(st.integers(1, 2), label="zeros")
+        half = st.integers(-3, 2).map(lambda c: Q(2 * c + 1, 2))
+        zeros = draw(st.lists(st.tuples(half, half), min_size=count, max_size=count))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count))
+        lc = plane_field_cover(tuple(signs), tuple(zeros), radius=draw(st.integers(2, 3)))
+        extra = st.sets(st.integers(0, 2), max_size=1)
+        labels = [ls | draw(extra) for ls in lc.labels]
+        return LabeledCover(lc.oriented, labels, lc.firm_system)
+    k = draw(st.integers(1, 2), label="k")
+    oc, carriers = sperner_complex(k, draw(st.integers(0, 2 - k), label="depth"))
+    if kind == "sperner":
+        labels = [draw(st.sets(st.sampled_from(c), min_size=1, max_size=2)) for c in carriers]
+        return LabeledCover(oc, labels, unit_firms(k + 2))
+    d = draw(st.integers(1, 3), label="d")
+    m = draw(st.integers(2, 5), label="m")
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    fs = FirmSystem(firms=draw(st.lists(point, min_size=m, max_size=m)), resource=draw(point))
+    labels = [draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=2)) for _ in carriers]
+    return LabeledCover(oc, labels, fs)
+
+
+@given(balance_covers())
+@settings(max_examples=60, deadline=None)
+def test_balanced_facets_match_the_per_facet_reference(lc):
+    _assert_balanced_facets_match_the_reference(lc)
+
+
+def _cycle_cover(labels):
+    """A cycle through the vertices in order, labelled by single firms of
+    (1, 0), (0, 1), (-1, -1) around (1/2, 1/2): a facet is balanced, in
+    either mode, exactly when its labels are firms 0 and 1."""
+    from fraccore.topology.complexes import propagate_orientation
+
+    m = len(labels)
+    K = SimplicialComplex(m, tuple(tuple(sorted((i, (i + 1) % m))) for i in range(m)))
+    fs = FirmSystem(firms=[(1, 0), (0, 1), (-1, -1)], resource=("1/2", "1/2"))
+    return LabeledCover(propagate_orientation(K), [frozenset({c}) for c in labels], fs)
+
+
+def _counting_balance_calls(monkeypatch):
+    from fraccore.balance import BalanceTest
+
+    calls = []
+    call = BalanceTest.__call__
+
+    def counting(self, subset):
+        calls.append(tuple(sorted(subset)))
+        return call(self, subset)
+
+    monkeypatch.setattr(BalanceTest, "__call__", counting)
+    return calls
+
+
+# facets in order (0, 1), (1, 2), ..., (6, 7), (0, 7): the ordered tuple
+# ({0}, {2}) of facet (1, 2) repeats at (3, 4), before any balanced facet,
+# and the balanced facet (0, 7) repeats the tuple ({0}, {1}) of the balanced
+# facet (6, 7) before it
+BALANCED_CYCLE = (0, 0, 2, 0, 2, 1, 0, 1)
+# the same first four facets, and no facet labelled by firms 0 and 1
+UNBALANCED_CYCLE = (0, 0, 2, 0, 2, 2, 1, 2)
+
+
+@pytest.mark.parametrize("mode", ["cone", "convex"])
+def test_balanced_facets_test_each_ordered_label_tuple_once(monkeypatch, mode):
+    from fraccore.topology.degree import _balanced_facets
+
+    lc = _cycle_cover(BALANCED_CYCLE)
+    facets = lc.oriented.complex.facets
+    tuples = [tuple(lc.labels[u] for u in f) for f in facets]
+    assert len(set(tuples)) == 6 < len(facets)
+    calls = _counting_balance_calls(monkeypatch)
+    assert _balanced_facets(lc, mode) == [5, 6, 7]
+    assert tuples[7] == tuples[6]
+    # one call per distinct ordered tuple, in the order facets reach them;
+    # ({0}, {2}) and ({2}, {0}) are distinct tuples with one union
+    assert calls == [(0,), (0, 2), (0, 2), (1, 2), (0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "labels, facet, expected",
+    [
+        # skips the repeat at (3, 4) and stops at the first balanced facet
+        (BALANCED_CYCLE, (5, 6), [(0,), (0, 2), (0, 2), (1, 2), (0, 1)]),
+        # every distinct tuple is tested once before the rays
+        (UNBALANCED_CYCLE, None, [(0,), (0, 2), (0, 2), (2,), (1, 2), (1, 2)]),
+    ],
+    ids=["balanced", "unbalanced"],
+)
+def test_pl_degree_tests_each_chosen_label_tuple_once(monkeypatch, labels, facet, expected):
+    lc = _cycle_cover(labels)
+    calls = _counting_balance_calls(monkeypatch)
+    res = pl_degree(lc)
+    assert calls == expected
+    if facet is None:
+        assert isinstance(res, Degree)
+    else:
+        assert res == BalancedSimplexFound(facet)
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +708,22 @@ def test_pl_degree_rejects_open_or_incoherent_complexes(facets, signs, message):
 # ---------------------------------------------------------------------------
 
 
+def _as_rationals(numerators, D):
+    """Positions given as integer numerators over one common denominator D,
+    as tuples of rationals; the numerators must be ints and D positive."""
+    assert type(D) is int and D > 0
+    assert all(type(c) is int for p in numerators for c in p)
+    return [tuple(Q(c, D) for c in p) for p in numerators]
+
+
 def _assert_subdivision_matches_reference(vertices, depth):
     from reference_degree import subdivide_with_positions
 
     from fraccore.topology.degree import _subdivide_with_positions
 
     oc = simplex_boundary(len(vertices) - 1)
-    got, positions = _subdivide_with_positions(oc, list(vertices), depth)
+    got, numerators, D = _subdivide_with_positions(oc, list(vertices), depth)
+    positions = _as_rationals(numerators, D)
     ref, ref_positions = subdivide_with_positions(oc, list(vertices), depth)
     assert got.complex == ref.complex
     assert got.orientation == ref.orientation
@@ -648,6 +779,38 @@ def test_induced_simplex_labeling_reads_cover_labels_at_reference_positions(n, v
     assert lc.labels == tuple(cover_labels(game.utilities, p) for p in positions)
 
 
+@pytest.mark.parametrize(
+    "region",
+    [SimplexRegion(_triangle(Q(-121, 2))), CubeRegion(("-7/2", 5, "1/3"), "5/2")],
+    ids=["simplex", "cube"],
+)
+def test_induce_labeling_labels_integer_numerators_without_cover_labels(monkeypatch, region):
+    from fraccore import game_model
+    from fraccore.game_model import ComprehensiveSet
+
+    def refuse(*args):
+        raise AssertionError("no per-vertex cover_labels call or point scaling")
+
+    game = _cube_game(3)
+    expected = induce_labeling(game, region, 2)
+    points = []
+    slack = ComprehensiveSet._slack
+
+    def recording(self, p, d):
+        points.append((p, d))
+        return slack(self, p, d)
+
+    monkeypatch.setattr(game_model, "cover_labels", refuse)
+    monkeypatch.setattr(game_model, "_clear_denominators", refuse)
+    monkeypatch.setattr(ComprehensiveSet, "_slack", recording)
+    lc = induce_labeling(game, region, 2)
+    assert lc == expected
+    # every set's slack once per vertex, on integer numerators over one D
+    assert len(points) == len(game.utilities) * lc.oriented.complex.num_vertices
+    assert len({d for _, d in points}) == 1
+    assert all(type(c) is int for p, d in points for c in (*p, d))
+
+
 # ---------------------------------------------------------------------------
 # cube regions: the boundary grid against its frame-vector reference, and
 # induced labelings of payoff dimensions 3 and 4
@@ -664,7 +827,8 @@ def test_cube_boundary_grid_matches_frame_vector_reference(n, depth, center, hal
 
     from fraccore.topology.degree import _cube_boundary_grid
 
-    oc, positions = _cube_boundary_grid(n, center[:n], halfwidth, depth)
+    oc, numerators, D = _cube_boundary_grid(n, center[:n], halfwidth, depth)
+    positions = _as_rationals(numerators, D)
     ref_oc, ref_positions = cube_boundary_grid(n, center[:n], halfwidth, depth)
     assert oc == ref_oc
     assert repr(positions) == repr(ref_positions)
@@ -704,7 +868,8 @@ def test_induced_cube_labeling_is_a_closed_coherent_boundary(n, center, halfwidt
     # every labeled position lies on the cube's boundary: its frame
     # coefficients are in [-1, 1] with one at +-1, and the frame e_i - e_last
     # keeps the coordinate sum
-    oc, positions = _cube_boundary_grid(n, region.center, region.halfwidth, depth)
+    oc, numerators, D = _cube_boundary_grid(n, region.center, region.halfwidth, depth)
+    positions = _as_rationals(numerators, D)
     assert oc == lc.oriented
     assert len(set(positions)) == K.num_vertices
     assert lc.labels == tuple(cover_labels(game.utilities, p) for p in positions)
