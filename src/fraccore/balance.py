@@ -3,14 +3,15 @@
 A set of firms is balanced when nonnegative weights on its members combine
 exactly to the resource vector ("cone" mode); the convex variant also
 requires the weights to sum to one.  Minimal balanced families of
-coalitions are the minimal balanced subsets of the firms 1_S, one per
-coalition S, with resource all-ones.
+coalitions are the minimal balanced subsets of the coalition firm system,
+their weights rescaled.
 
-Balancedness is upward closed and depends only on the firm system, so each
-(firm system, mode) pair gets one memoized test, kept in a bounded
-process-wide cache keyed by the firm system's value; its minimal balanced
-subsets, each found by one exact elimination, decide every member set.  An
-LP decides a member set queried before they are known.
+Balancedness depends only on the firm system, so each (firm system, mode)
+pair gets one memoized test, kept in a bounded process-wide cache keyed by
+the firm system's value.  One rule decides a member set: the balancing LP
+that ``game_model`` builds, run once per set and remembered.  The minimal
+balanced subsets are found apart from it, each by one exact elimination,
+and their weights join the same memo.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapExceeded, CountMismatch, IndexOutOfRange
-from .exact_linear import Feasible, LinearSystem, solve_feasibility
-from .game_model import FirmSystem, _balancing_equations, coalitions
+from .game_model import (
+    FirmSystem,
+    _balancing_equations,
+    _balancing_lp,
+    coalition_firm_system,
+    coalitions,
+)
 from .linalg import gaussian_solve
 from .rationals import ONE, ZERO, dot, vec
 
@@ -73,24 +79,17 @@ def _check_members(subset, fs: FirmSystem) -> tuple:
     return members
 
 
-def _lp_weights(subset, fs: FirmSystem, convex: bool):
-    members = _check_members(subset, fs)
-    eqs = _balancing_equations(fs, members, convex)
-    res = solve_feasibility(LinearSystem(len(members), equalities=eqs, nonneg=True))
-    return res.witness if isinstance(res, Feasible) else None
-
-
 def balancing_weights(subset, fs: FirmSystem):
     """Nonnegative weights with sum_i w_i v_i = resource, or None.
 
     Weights align with the sorted member list.
     """
-    return _lp_weights(subset, fs, False)
+    return _balancing_lp(fs, _check_members(subset, fs), False)
 
 
 def convex_balancing_weights(subset, fs: FirmSystem):
     """As balancing_weights but additionally requiring sum of weights = 1."""
-    return _lp_weights(subset, fs, True)
+    return _balancing_lp(fs, _check_members(subset, fs), True)
 
 
 def _mask(subset) -> int:
@@ -102,14 +101,14 @@ def _contains_any(mask: int, masks) -> bool:
 
 
 class BalanceTest:
-    """Memoized yes/no balancedness of member sets of one firm system.
+    """Memoized balancedness of member sets of one firm system.
 
-    The answer depends only on the firm system and the mode, so it is kept
-    per member set.  Once the minimal balanced subsets are known, a member
-    set is balanced exactly when it contains one of them.  The weights that
-    found a set balanced, by an LP or an elimination, are kept too, so each
-    minimal subset has the weights that decided it.  Concurrent callers may
-    compute an answer twice; they store the same value.
+    One memo maps each member set to its balancing weights, or to None when
+    it is not balanced; a set missing from it is decided by one LP.
+    ``minimal`` adds the minimal balanced subsets with the weights that
+    decided them, which are unique and so the LP's: answers do not depend
+    on the order of the calls.  Concurrent callers may compute an answer
+    twice; they store the same value.
     """
 
     def __init__(self, fs: FirmSystem, mode: str):
@@ -117,17 +116,16 @@ class BalanceTest:
             raise ValueError(f"unknown mode {mode!r} (use 'cone' or 'convex')")
         self.fs = fs
         self.mode = mode
-        self._known = {}
-        self._weights = {}
+        self._memo = {}
         self._minimal = None
-        self._masks = None
 
-    def _solve(self, members) -> bool:
-        lp = convex_balancing_weights if self.mode == "convex" else balancing_weights
-        weights = lp(members, self.fs)
-        if weights is not None:
-            self._weights[members] = weights
-        return weights is not None
+    def _answer(self, members):
+        """The weights of sorted, distinct members, or None; the first time
+        by one LP, which also rejects members outside the firm system."""
+        if members not in self._memo:
+            lp = convex_balancing_weights if self.mode == "convex" else balancing_weights
+            self._memo[members] = lp(members, self.fs)
+        return self._memo[members]
 
     def _eliminate(self, members) -> bool:
         """A candidate of ``minimal``: balanced iff its balancing equations
@@ -137,28 +135,20 @@ class BalanceTest:
         if solved is None or any(w < ZERO for w in solved[0]):
             return False
         # a resource of dimension 0 gives no equations: the one weight is 0
-        self._weights[members] = solved[0] or (ZERO,)
+        self._memo[members] = solved[0] or (ZERO,)
         return True
 
     def __call__(self, subset) -> bool:
-        members = tuple(sorted(set(subset)))
-        known = self._known.get(members)
-        if known is None:
-            if self._masks is None:
-                known = self._solve(members)
-            else:
-                known = _contains_any(_mask(_check_members(members, self.fs)), self._masks)
-            self._known[members] = known
-        return known
+        return self._answer(tuple(sorted(set(subset)))) is not None
 
     def weights(self, subset) -> tuple:
         """Balancing weights of a balanced member set, aligned with its
-        sorted members: for a minimal subset, those that decided it; any
-        other set is solved once here, by an LP."""
-        members = _check_members(subset, self.fs)
-        if members not in self._weights and not self._solve(members):
+        sorted members."""
+        members = tuple(sorted(set(subset)))
+        weights = self._answer(members)
+        if weights is None:
             raise ValueError(f"member set {members} is not balanced")
-        return self._weights[members]
+        return weights
 
     def minimal(self) -> tuple:
         """The minimal balanced subsets, in (size, lex) order.
@@ -189,7 +179,6 @@ class BalanceTest:
                     elif self._eliminate(subset):
                         found.append(subset)
                         closed.add(mask)
-            self._masks = [_mask(s) for s in found]
             self._minimal = tuple(found)
         return self._minimal
 
@@ -294,18 +283,23 @@ def convexify(fs: FirmSystem):
 # ---------------------------------------------------------------------------
 
 
+def coalition_family(n: int, firms, weights) -> BalancedFamily:
+    """The coalitions of ``firms`` in ``coalition_firm_system(n)`` with the
+    weights w' balancing them there made classical: w_S = n * w'_S / |S|."""
+    coals = coalitions(n)
+    subsets = [coals[f] for f in firms]
+    return checked_family(subsets, [n * w / len(s) for s, w in zip(subsets, weights)], n)
+
+
 def minimal_balanced_families(n: int, cap: int = DEFAULT_PLAYER_CAP):
     """All minimal balanced families of coalitions of range(n), with weights:
-    the minimal cone-balanced subsets of the firms 1_S, one per coalition S,
-    with resource all-ones, and the weights that decided them."""
+    the antichain of ``coalition_firm_system(n)``, shared with every
+    embedded n-player game, with the weights that decided it made
+    classical."""
     if n > cap:
         raise CapExceeded(f"{n} players exceeds the cap {cap}")
     if n < 1:
         raise ValueError("need at least one player")
-    coals = coalitions(n)
-    firms = [tuple(ONE if p in s else ZERO for p in range(n)) for s in coals]
-    test = balance_test(FirmSystem(firms=firms, resource=(ONE,) * n), "cone")
-    families = [
-        checked_family([coals[i] for i in s], test.weights(s), n) for s in test.minimal()
-    ]
+    test = balance_test(coalition_firm_system(n), "cone")
+    families = [coalition_family(n, s, test.weights(s)) for s in test.minimal()]
     return sorted(families, key=lambda f: (len(f.subsets), f.subsets))

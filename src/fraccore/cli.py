@@ -29,8 +29,8 @@ from .formats import (
     serialize,
     tu_from_json,
 )
-from .game_model import FirmSystem, coalitions, validate_game
-from .rationals import Q, rat, rat_json
+from .game_model import FirmSystem, coalition_firm_system, validate_game
+from .rationals import rat, rat_json
 from .topology import degree as topo_degree
 from .topology import index as topo_index
 from .topology.hopf import hopf_invariant
@@ -101,13 +101,17 @@ def _witness_json(w: frac_core.FractionalCoreWitness, game=None) -> dict:
         "active_firms": list(w.active),
         "weights": rational_vector_json(w.weights),
     }
-    if game is not None and game.firm_count == 2 ** game.dim - 1:
-        coals = coalitions(game.dim)
+    # equality decides; the count first spares a game with many coordinates
+    # and few firms from building 2^n - 1 coalition firms
+    if (
+        game is not None
+        and game.firm_count == 2 ** game.dim - 1
+        and game.firm_system == coalition_firm_system(game.dim)
+    ):
+        fam = balance.coalition_family(game.dim, w.active, w.weights)
         out["coalition_weights"] = {
-            ",".join(str(i + 1) for i in coals[f]): rat_json(
-                Q(game.dim) * wt / len(coals[f])
-            )
-            for f, wt in zip(w.active, w.weights)
+            ",".join(str(i + 1) for i in s): rat_json(wt)
+            for s, wt in zip(fam.subsets, fam.weights)
         }
     return out
 
@@ -157,17 +161,12 @@ def _cmd_balance(args):
     if args.action == "check":
         _require(args, "subset")
         subset = _subset_arg(args.subset, fs)
-        fn = (
-            balance.balancing_weights
-            if args.mode == "cone"
-            else balance.convex_balancing_weights
-        )
-        weights = fn(subset, fs)
-        if weights is None:
+        test = balance.balance_test(fs, args.mode)
+        if not test(subset):
             return "not-balanced", {"subset": list(subset)}
         return "balanced", {
             "subset": sorted(subset),
-            "weights": rational_vector_json(weights),
+            "weights": rational_vector_json(test.weights(subset)),
         }
     if args.action == "convexify":
         out = balance.convexify(fs)

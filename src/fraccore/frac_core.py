@@ -31,12 +31,12 @@ from .exact_linear import Infeasible, LinearSystem, Optimal, maximize
 from .game_model import (
     CoalitionalNTUGame,
     ComprehensiveSet,
-    FirmSystem,
     GeneralizedGame,
     HalfSpace,
     Primitive,
     TUGame,
     coalition_cylinder,
+    coalition_firm_system,
     coalitions,
     contains,
     tau,
@@ -89,18 +89,6 @@ class Unsupported:
 # ---------------------------------------------------------------------------
 # embedding of classical games
 # ---------------------------------------------------------------------------
-
-
-def coalition_firm_system(n: int) -> FirmSystem:
-    """Firms 1_S/|S| for every nonempty coalition, resource ones/n."""
-    firms = []
-    for coal in coalitions(n):
-        v = [ZERO] * n
-        share = Q(1, len(coal))
-        for i in coal:
-            v[i] = share
-        firms.append(tuple(v))
-    return FirmSystem(firms=tuple(firms), resource=(Q(1, n),) * n)
 
 
 def embed_coalitional(game) -> GeneralizedGame:

@@ -8,10 +8,10 @@ from .game_model import (
     GeneralizedGame,
     TUGame,
     coalition_cylinder,
+    coalition_firm_system,
     comprehensive_hull,
     point_orthant,
 )
-from .frac_core import coalition_firm_system
 from .rationals import Q
 
 
@@ -95,19 +95,18 @@ _SECTOR_DIRS = ((Q(1), Q(0)), (Q(-1), Q(1)), (Q(0), Q(-1)))
 
 
 def _sector(w) -> int:
-    """Index of the sector [d_i, d_{i+1}) containing a nonzero direction."""
+    """Index of the sector [d_i, d_{i+1}) containing a nonzero direction;
+    the three sectors partition the directions, each narrower than 180 degrees."""
     if w == (Q(0), Q(0)):
         raise ValueError("zero field value cannot be labeled")
 
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]
 
-    for i in range(3):
-        a, b = _SECTOR_DIRS[i], _SECTOR_DIRS[(i + 1) % 3]
+    for i in range(2):
+        a, b = _SECTOR_DIRS[i], _SECTOR_DIRS[i + 1]
         if cross(a, w) >= 0 and cross(w, b) > 0:
             return i
-    # w is a positive multiple of some d_i with cross(w, d_{i+1}) == 0 never
-    # happening for distinct rays; the remaining case is w on the last ray
     return 2
 
 
@@ -184,10 +183,11 @@ def sphere_vertex_positions():
     """
     from .topology.s3_12 import COLORING
 
+    q = Q(1, 4)
     jitters = (
         (0, 0, 0, 0, 0),
-        ("1/4", "-1/4", 0, 0, 0),
-        (0, 0, "1/4", "-1/4", 0),
+        (q, -q, 0, 0, 0),
+        (0, 0, q, -q, 0),
     )
     seen_per_color = {}
     positions = []
@@ -196,8 +196,7 @@ def sphere_vertex_positions():
         seen_per_color[color] = slot + 1
         base = [Q(-1)] * 5
         base[color] += Q(5)
-        jit = [Q(x) if not isinstance(x, str) else Q(x) for x in jitters[slot]]
-        positions.append(tuple(b + Q(j) for b, j in zip(base, jit)))
+        positions.append(tuple(b + j for b, j in zip(base, jitters[slot])))
     return tuple(positions)
 
 

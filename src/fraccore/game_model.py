@@ -327,9 +327,7 @@ class FirmSystem:
         return all(sum(v, ZERO) > ZERO for v in self.firms)
 
     def resource_in_cone(self) -> bool:
-        eqs = _balancing_equations(self, range(self.count), False)
-        system = LinearSystem(self.count, equalities=eqs, nonneg=True)
-        return isinstance(solve_feasibility(system), Feasible)
+        return _balancing_lp(self, range(self.count), False) is not None
 
 
 def _balancing_equations(fs: FirmSystem, members, convex: bool) -> tuple:
@@ -339,6 +337,14 @@ def _balancing_equations(fs: FirmSystem, members, convex: bool) -> tuple:
     if convex:
         eqs.append(((ONE,) * len(members), ONE))
     return tuple(eqs)
+
+
+def _balancing_lp(fs: FirmSystem, members, convex: bool):
+    """The balancing LP: nonnegative weights, one per member in order,
+    solving the balancing equations, or None when there are none."""
+    eqs = _balancing_equations(fs, members, convex)
+    res = solve_feasibility(LinearSystem(len(members), equalities=eqs, nonneg=True))
+    return res.witness if isinstance(res, Feasible) else None
 
 
 @dataclass(frozen=True)
@@ -432,6 +438,13 @@ def coalitions(n: int):
     for size in range(1, n + 1):
         out.extend(tuple(c) for c in combinations(range(n), size))
     return out
+
+
+def coalition_firm_system(n: int) -> FirmSystem:
+    """Firms 1_S/|S|, one per coalition S in ``coalitions`` order, and
+    resource ones/n: the firm system of an embedded classical game."""
+    firms = [tuple(Q(1, len(c)) if i in c else ZERO for i in range(n)) for c in coalitions(n)]
+    return FirmSystem(firms=firms, resource=(Q(1, n),) * n)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fraccore.balance import (
     same_balanced_subsets,
 )
 from fraccore.errors import CapExceeded, IndexOutOfRange
-from fraccore.game_model import FirmSystem, coalitions
+from fraccore.game_model import FirmSystem, coalition_firm_system, coalitions
 from fraccore.rationals import Q
 
 
@@ -32,14 +32,7 @@ def unit_basis_system():
 
 
 def coalition_system(n):
-    coals = coalitions(n)
-    firms = []
-    for s in coals:
-        v = [Q(0)] * n
-        for i in s:
-            v[i] = Q(1, len(s))
-        firms.append(tuple(v))
-    return FirmSystem(firms=firms, resource=tuple(Q(1, n) for _ in range(n))), coals
+    return coalition_firm_system(n), coalitions(n)
 
 
 def test_unit_basis_full_set_balanced():
@@ -381,7 +374,7 @@ def test_balance_test_rejects_bad_mode_and_members():
     with pytest.raises(IndexOutOfRange):
         test((0, 9))
     minimal_balanced_subsets(fs, "cone")
-    # once the antichain is known, containment answers without an LP
+    # the members are still checked once the antichain is known
     with pytest.raises(IndexOutOfRange):
         test((0, 9))
     with pytest.raises(IndexOutOfRange):
@@ -437,3 +430,62 @@ def test_test_weights_come_from_the_deciding_lp():
         test.weights((0,))
     with pytest.raises(IndexOutOfRange):
         test.weights((0, 99))
+
+
+def _answers(test, subsets):
+    """Each member set's verdict and weights (None when not balanced)."""
+    out = {}
+    for s in subsets:
+        if test(s):
+            out[s] = (True, test.weights(s))
+        else:
+            with pytest.raises(ValueError):
+                test.weights(s)
+            out[s] = (False, None)
+    return out
+
+
+@given(firm_systems(), st.sampled_from(["cone", "convex"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_balance_test_answers_do_not_depend_on_call_order(fs, mode, data):
+    lp = convex_balancing_weights if mode == "convex" else balancing_weights
+    subsets = [
+        s for size in range(1, fs.count + 1) for s in combinations(range(fs.count), size)
+    ]
+    expected = {}
+    for s in subsets:
+        weights = lp(s, fs)
+        expected[s] = (weights is not None, weights)
+    early = BalanceTest(fs, mode)
+    asked = data.draw(st.lists(st.sampled_from(subsets), unique=True))
+    before = _answers(early, asked)
+    early.minimal()
+    late = BalanceTest(fs, mode)
+    late.minimal()
+    assert before == {s: expected[s] for s in asked}
+    assert _answers(early, subsets) == expected
+    assert _answers(late, subsets) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_families_are_the_rescaled_coalition_antichain(monkeypatch, n):
+    from fraccore import balance
+
+    families = minimal_balanced_families(n)
+    fs, coals = coalition_system(n)
+    expected = []
+    for subset in BalanceTest(fs, "cone").minimal():
+        family = [coals[f] for f in subset]
+        weights = balancing_weights(subset, fs)
+        # sum_S w'_S 1_S / |S| = ones / n, so w_S = n * w'_S / |S|
+        classical = [n * w / len(c) for c, w in zip(family, weights)]
+        expected.append(checked_family(family, classical, n))
+    assert families == sorted(expected, key=lambda f: (len(f.subsets), f.subsets))
+
+    def no_elimination(*args):
+        raise AssertionError("the antichain was computed twice")
+
+    # the families filled the shared test of the coalition firm system, which
+    # an embedded n-player game then reads without a second enumeration
+    monkeypatch.setattr(balance, "gaussian_solve", no_elimination)
+    assert len(balance_test(coalition_firm_system(n), "cone").minimal()) == len(families)

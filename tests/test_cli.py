@@ -18,10 +18,11 @@ from fraccore.formats import (
     rational_vector_json,
     serialize,
     tu_from_json,
+    tu_to_json,
 )
 from fraccore.rationals import rat_json
 from fraccore.errors import BoundaryTouchesBalanced
-from fraccore.game_model import FirmSystem
+from fraccore.game_model import ComprehensiveSet, FirmSystem, GeneralizedGame, point_orthant
 from fraccore.topology import (
     BalancedSimplexFound,
     CubeRegion,
@@ -206,6 +207,25 @@ def test_examples_modified_report(capsys):
     assert set(d["witness"]["coalition_weights"].values()) == {"1/2"}
 
 
+def test_coalition_weights_only_on_the_coalition_firm_system(capsys, tmp_path):
+    code, rep = run_cli(capsys, "frac-core", data_path("example1-embedded.json"))
+    assert code == 0
+    assert rep["details"]["witness"]["coalition_weights"]
+    # three firms in two coordinates, as many as the coalitions of two
+    # players, but not their firm system
+    game = GeneralizedGame(
+        tuple(ComprehensiveSet((point_orthant((0, 0)),)) for _ in range(3)),
+        FirmSystem(firms=[(2, 1), (1, 2), (1, 1)], resource=(1, 1)),
+    )
+    path = tmp_path / "three-firms.json"
+    path.write_text(serialize(game_to_json(game)))
+    code, rep = run_cli(capsys, "frac-core", str(path))
+    assert code == 0
+    assert rep["verdict"] == "nonempty"
+    assert rep["details"]["witness"]["active_firms"] == [2]
+    assert "coalition_weights" not in rep["details"]["witness"]
+
+
 def test_hopf_command(capsys):
     code, rep = run_cli(capsys, "hopf", data_path("sphere-asset.json"))
     assert code == 0
@@ -234,8 +254,6 @@ def test_cap_exceeded_exit_code(capsys):
 
 
 def test_shipped_files_roundtrip():
-    from fraccore.formats import game_to_json, tu_to_json
-
     for name in (
         "example1.json",
         "example1-modified.json",
@@ -251,6 +269,27 @@ def test_shipped_files_roundtrip():
             assert serialize(tu_to_json(tu_from_json(obj))) == raw
         else:
             assert serialize(game_to_json(game_from_json(obj))) == raw
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("example1.json", lambda: tu_to_json(gallery.loss_sharing_tu())),
+        ("example1-modified.json", lambda: tu_to_json(gallery.loss_sharing_tu_modified())),
+        (
+            "example1-embedded.json",
+            lambda: game_to_json(frac_core.embed_coalitional(gallery.loss_sharing_tu())),
+        ),
+        ("example2.json", lambda: game_to_json(gallery.directed_transfers_game())),
+        ("symmetric-s1.json", lambda: game_to_json(gallery.symmetric_pairs_game_s1())),
+        ("symmetric-s2.json", lambda: game_to_json(gallery.symmetric_pairs_game_s2())),
+        ("hopf-game.json", lambda: game_to_json(gallery.hopf_fibration_game())),
+    ],
+)
+def test_shipped_files_match_the_gallery(name, build):
+    # the CLI reads hopf-game.json instead of rebuilding the game
+    raw = resources.files("fraccore").joinpath(f"data/{name}").read_text()
+    assert serialize(build()) == raw
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +732,6 @@ def test_core_empty(capsys, tmp_path):
 
 
 def _union_target_game():
-    from fraccore.game_model import ComprehensiveSet, FirmSystem, GeneralizedGame, point_orthant
-
     u = ComprehensiveSet((point_orthant((0, 0)), point_orthant((1, -1))))
     return GeneralizedGame((u,), FirmSystem(firms=[(1, 1)], resource=(1, 1)), distinguished=0)
 
