@@ -90,6 +90,8 @@ def _subset_arg(text, fs: FirmSystem) -> tuple:
             raise MalformedInput(
                 f"$.subset[{i}]: not a firm index in 0..{fs.count - 1}: {idx!r}"
             )
+        if idx in subset[:i]:
+            raise MalformedInput(f"$.subset[{i}]: repeated firm index {idx}")
     return tuple(subset)
 
 
@@ -176,14 +178,13 @@ def _cmd_balance(args):
             "firms": [rational_vector_json(v) for v in out.firms],
             "resource": rational_vector_json(out.resource),
         }
-    if args.action == "equivalent":
-        _require(args, "other")
-        fs2 = _load_firm_system(args.other)
-        res = balance.same_balanced_subsets(fs, fs2, args.mode)
-        if isinstance(res, balance.Equivalent):
-            return "equivalent", {}
-        return "differs", {"witness_subset": list(res.witness)}
-    raise MalformedInput(f"$: unknown balance action {args.action!r}")
+    # argparse's choices leave "equivalent"
+    _require(args, "other")
+    fs2 = _load_firm_system(args.other)
+    res = balance.same_balanced_subsets(fs, fs2, args.mode)
+    if isinstance(res, balance.Equivalent):
+        return "equivalent", {}
+    return "differs", {"witness_subset": list(res.witness)}
 
 
 def _cmd_tu_core(args):
@@ -594,7 +595,3 @@ def main(argv=None) -> int:
     }
     sys.stdout.write(serialize(report))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

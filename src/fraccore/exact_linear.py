@@ -246,11 +246,6 @@ def maximize(objective, sys: LinearSystem):
         raise MalformedSystem("objective length does not match variable count")
     if sys.lt:
         raise MalformedSystem("maximize does not accept strict inequalities")
-    if sys.num_vars == 0:
-        ok = all(b >= ZERO for _, b in sys.leq) and all(
-            b == ZERO for _, b in sys.equalities
-        )
-        return Optimal(ZERO, ()) if ok else Infeasible()
     n, nonneg = sys.num_vars, sys.nonneg
     a_rows, b, c, cscale = _standard_form(objective, sys.equalities, sys.leq, nonneg)
     res = _solve_standard(a_rows, b, c)

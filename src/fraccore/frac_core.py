@@ -99,6 +99,8 @@ def embed_coalitional(game) -> GeneralizedGame:
     The grand coalition is the distinguished firm (its firm vector equals
     the resource).
     """
+    if not isinstance(game, (TUGame, CoalitionalNTUGame)):
+        raise TypeError(f"cannot embed {type(game).__name__}")
     n = game.n
     coals = coalitions(n)
     utilities = []
@@ -107,7 +109,7 @@ def embed_coalitional(game) -> GeneralizedGame:
             utilities.append(
                 ComprehensiveSet((coalition_cylinder(n, coal, game.value(coal)),))
             )
-    elif isinstance(game, CoalitionalNTUGame):
+    else:
         for coal in coals:
             cs = game.sets[coal]
             prims = []
@@ -120,8 +122,6 @@ def embed_coalitional(game) -> GeneralizedGame:
                     lifted.append(HalfSpace(tuple(normal), h.offset))
                 prims.append(Primitive(tuple(lifted)))
             utilities.append(ComprehensiveSet(tuple(prims)))
-    else:
-        raise TypeError(f"cannot embed {type(game).__name__}")
     return GeneralizedGame(
         tuple(utilities),
         coalition_firm_system(n),
@@ -332,11 +332,9 @@ def is_balanced_game(
             sys = LinearSystem(n, leq=tuple(rows))
             for h in target_rows:
                 res = maximize(h.normal, sys)
-                if isinstance(res, Infeasible):
-                    break
-                if isinstance(res, Optimal) and res.value <= h.offset:
-                    continue
                 if isinstance(res, Optimal):
+                    if res.value <= h.offset:
+                        continue
                     return ViolatedGame(subset, res.witness)
                 # unbounded: walk the ray far enough to leave the target
                 base, ray = res.witness, res.ray

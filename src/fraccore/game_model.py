@@ -214,10 +214,10 @@ def comprehensive_hull(points) -> Primitive:
             kernel = nullspace(system)
             if len(kernel) != 1:
                 continue
+            # 1 on its free column: nonzero, and a nonnegative facet normal
+            # is a positive multiple of it
             normal = kernel[0]
-            if all(c <= ZERO for c in normal):
-                normal = tuple(-c for c in normal)
-            if any(c < ZERO for c in normal) or all(c == ZERO for c in normal):
+            if any(c < ZERO for c in normal):
                 continue
             offset = dot(normal, anchor)
             if any(dot(normal, p) > offset for p in pts):

@@ -72,9 +72,7 @@ class SimplicialComplex:
         for f in self.facets:
             for a in f:
                 adj.setdefault(a, set()).update(u for u in f if u != a)
-        verts = set(adj)
-        if not verts:
-            return True
+        verts = set(adj)  # nonempty: a complex has a facet
         seen = set()
         stack = [next(iter(verts))]
         while stack:
@@ -104,10 +102,6 @@ class OrientedComplex:
     @property
     def facets(self):
         return self.complex.facets
-
-    @property
-    def dim(self) -> int:
-        return self.complex.dim
 
     def reversed(self) -> "OrientedComplex":
         return OrientedComplex(self.complex, tuple(-s for s in self.orientation))
@@ -173,19 +167,15 @@ class ManifoldReport:
         return base and self.links_ok
 
 
-def _is_closed_surface_sphere(link: SimplicialComplex) -> bool:
-    if link.dim != 2:
-        return False
-    if any(len(inc) != 2 for inc in link.ridges().values()):
-        return False
-    return link.is_connected() and link.euler_characteristic() == 2
-
-
 def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     """Combinatorial closed-manifold checks for dim <= 3.
 
     For dim 3 the vertex links must be connected closed surfaces of Euler
-    characteristic 2, which suffices at this dimension.
+    characteristic 2, which suffices at this dimension.  A link of a closed
+    3-complex is a closed surface already: its triangles are the facets at
+    the vertex less the vertex, and each of its edges lies in the two
+    facets of its ridge.  So only connectivity and Euler characteristic
+    are tested.  Spherical links force Euler characteristic 0 on K.
     """
     if K.dim > 3:
         raise NotClosedManifold("manifold validation supports dimension <= 3")
@@ -199,8 +189,8 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
             for p, v in enumerate(f):
                 links.setdefault(v, []).append(f[:p] + f[p + 1 :])
         links_ok = all(
-            _is_closed_surface_sphere(SimplicialComplex(K.num_vertices, link))
-            for link in links.values()
+            link.is_connected() and link.euler_characteristic() == 2
+            for link in (SimplicialComplex(K.num_vertices, f) for f in links.values())
         )
     return ManifoldReport(
         dim=K.dim,

@@ -155,7 +155,6 @@ def pl_degree(lc: LabeledCover):
                 total += sign * crossing
         else:
             return Degree(normalizer * total)
-    raise AssertionError("unreachable: ray search always terminates")
 
 
 def _balanced_facets(lc: LabeledCover, mode: str):

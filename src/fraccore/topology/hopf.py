@@ -80,8 +80,8 @@ def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
     report = validate_closed_manifold(K)
     if not (report.closed and report.connected and report.orientable):
         raise NotSphere("complex is not a closed connected orientable 3-manifold")
-    if report.euler != 0 or not report.links_ok:
-        raise NotSphere("complex fails the sphere checks (euler, links)")
+    if not report.links_ok:  # spherical links force Euler characteristic 0
+        raise NotSphere("complex fails the sphere checks (vertex links)")
     if not oc.coherent():
         raise NotSphere("orientation is not coherent")
     vertex_map = tuple(int(vertex_map[v]) for v in range(K.num_vertices))

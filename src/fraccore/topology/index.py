@@ -19,7 +19,7 @@ from .complexes import (
     barycentric_subdivision,
     boundary_complex,
 )
-from .degree import BalancedSimplexFound, Degree, LabeledCover, _balanced_facets, pl_degree
+from .degree import Degree, LabeledCover, _balanced_facets, pl_degree
 
 
 def balanced_facet_indices(lc: LabeledCover):
@@ -103,16 +103,11 @@ def _component_indices(lc: LabeledCover, components, balanced):
             raise BoundaryTouchesBalanced(
                 "component reaches the boundary of its own neighborhood"
             )
-        res = pl_degree(LabeledCover(rim, labels, lc.firm_system))
-        # Cannot fire: a rim facet has no marked vertex, so its vertices are
+        # a Degree: a rim facet has no marked vertex, so its vertices are
         # barycentres of faces of one star facet outside the component, which
         # is not balanced by the isolation check.  Each rim label lies in that
         # facet's label union, and a subset of an unbalanced set is unbalanced.
-        if isinstance(res, BalancedSimplexFound):
-            raise BoundaryTouchesBalanced(
-                f"balanced simplex {res.facet} on the neighborhood boundary"
-            )
-        indices.append(res.value)
+        indices.append(pl_degree(LabeledCover(rim, labels, lc.firm_system)).value)
     return indices
 
 

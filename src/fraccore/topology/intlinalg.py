@@ -36,10 +36,9 @@ def _diagonalize(matrix, rhs=None):
         while True:
             r = min(cols[c], key=lambda i: abs(rows[i][c]))
             pivot_row, p = rows[r], rows[r][c]
+            # |p| is the least |entry| of column c, so every q is nonzero
             for i in cols[c] - {r}:  # row i -= q * row r
                 row, q = rows[i], rows[i][c] // p
-                if not q:
-                    continue
                 for j, x in pivot_row.items():
                     y = row.get(j, 0) - q * x
                     if y:

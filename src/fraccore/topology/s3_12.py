@@ -6,8 +6,9 @@ cone-solid-torus around the fourth fiber (27 cells, wedge prisms risen
 core-first to keep every cell at three target vertices) glued to a
 twisted-prism solid torus on the three remaining fiber circles (12 cells,
 each twisted prism coned from a corner).  Machine-verified on load: closed,
-connected, orientable, Euler characteristic 0, all vertex links 2-spheres;
-the test-suite additionally pins H_1 = 0 and the Hopf invariant.
+connected, orientable, all vertex links 2-spheres (which forces Euler
+characteristic 0); the test-suite additionally pins H_1 = 0 and the Hopf
+invariant.
 
 Vertices 0..8 lie on the three fibers of colors 0,1,2 (three vertices
 each); vertices 9..11 form the color-3 fiber at the core.
@@ -51,13 +52,7 @@ def load() -> tuple[OrientedComplex, tuple]:
         raise NotSphere("asset data corrupted: checksum mismatch")
     K = SimplicialComplex(12, FACETS)
     report = validate_closed_manifold(K)
-    if not (
-        report.closed
-        and report.connected
-        and report.orientable
-        and report.euler == 0
-        and report.links_ok
-    ):
+    if not (report.closed and report.connected and report.orientable and report.links_ok):
         raise NotSphere("asset data corrupted: manifold checks failed")
     oriented = propagate_orientation(K)
     assert oriented is not None

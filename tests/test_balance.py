@@ -20,7 +20,7 @@ from fraccore.balance import (
     minimal_balanced_subsets,
     same_balanced_subsets,
 )
-from fraccore.errors import CapExceeded, IndexOutOfRange
+from fraccore.errors import CapExceeded, CountMismatch, IndexOutOfRange
 from fraccore.game_model import FirmSystem, coalition_firm_system, coalitions
 from fraccore.rationals import Q
 
@@ -204,6 +204,26 @@ def test_minimal_weights_unique():
 def test_checked_family_rejects():
     with pytest.raises(ValueError):
         checked_family([(0,), (1,)], [Q(1), Q(2)], 2)
+
+
+@pytest.mark.parametrize(
+    "weights, match", [((1, 1), "one weight per subset"), ((-1,), "nonnegative")]
+)
+def test_balanced_family_rejects(weights, match):
+    with pytest.raises(ValueError, match=match):
+        BalancedFamily([(0,)], weights)
+
+
+def test_families_need_a_player():
+    with pytest.raises(ValueError, match="at least one player"):
+        minimal_balanced_families(0)
+
+
+def test_bs_equivalence_needs_equal_firm_counts():
+    fs = unit_basis_system()
+    fewer = FirmSystem(firms=fs.firms[:3], resource=fs.resource)
+    with pytest.raises(CountMismatch):
+        same_balanced_subsets(fs, fewer)
 
 
 def test_bs_equivalent_self():

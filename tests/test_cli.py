@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -138,7 +140,7 @@ def test_balance_enumerate_and_check(capsys):
     assert rep["details"]["weights"] == ["1/2", "1/2"]
 
 
-@pytest.mark.parametrize("subset", ["[0,", "5", '["a"]', "[0, 99]"])
+@pytest.mark.parametrize("subset", ["[0,", "5", '["a"]', "[0, 99]", "[0, 0]"])
 def test_balance_check_malformed_subset(capsys, subset):
     code = main(
         ["balance", "check", "--input", data_path("symmetric-s1.json"), "--subset", subset]
@@ -194,6 +196,14 @@ def test_examples_list_and_example2(capsys):
     code, rep = run_cli(capsys, "examples", "example2")
     assert code == 0
     assert rep["details"]["fractional_core"] == "empty"
+
+
+def test_module_entry_point(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fraccore", "examples", "list"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("fraccore", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["details"]["names"][0] == "example1"
 
 
 def test_examples_modified_report(capsys):
@@ -399,12 +409,24 @@ def test_distinguished_firm_required(capsys, command):
         ("hopf", "sphere-asset.json", "facets", [[]], "$"),
         ("hopf", "sphere-asset.json", "facets", [[0, True, 2, 5]], "$.facets"),
         ("validate", "example2.json", "utilities", [], "$.utilities"),
+        ("validate", "example2.json", "distinguished", "x", "$.distinguished"),
+        ("validate", "example2.json", "distinguished", 99, "$.distinguished"),
+        ("validate", "example2.json", "dimension", 4, "$.dimension"),
     ],
 )
 def test_malformed_field(capsys, tmp_path, command, data, field, value, path):
     doc = data_json(data)
     doc[field] = value
     assert_malformed(capsys, [command, write_json(tmp_path, "doc.json", doc)], path)
+
+
+def test_hopf_needs_an_orientable_complex(capsys, tmp_path):
+    # the 6-vertex projective plane: no orientation given, none derivable
+    rp2 = [[0, 1, 2], [0, 1, 3], [0, 2, 4], [0, 3, 5], [0, 4, 5],
+           [1, 2, 5], [1, 3, 4], [1, 4, 5], [2, 3, 4], [2, 3, 5]]
+    doc = {"vertices": 6, "facets": rp2, "labels": [[v % 4] for v in range(6)]}
+    path = write_json(tmp_path, "rp2.json", doc)
+    assert_malformed(capsys, ["hopf", path], "$.orientation: missing and not derivable")
 
 
 def test_hopf_needs_a_label_per_vertex(capsys, tmp_path):
@@ -887,6 +909,23 @@ def test_examples_against_the_library(capsys):
         if name.startswith("symmetric"):
             got.pop("witness", None)
         assert got == details, name
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("example1", "generalized_core"),
+        ("example1-modified", "fractional_core"),
+        ("symmetric-s1", "fractional_core"),
+        ("hopf", "fractional_core"),
+    ],
+)
+def test_examples_report_an_empty_core(capsys, monkeypatch, name, key):
+    monkeypatch.setattr(frac_core, "core_solve", lambda game: frac_core.Empty())
+    monkeypatch.setattr(frac_core, "fractional_core_solve", lambda game: frac_core.Empty())
+    code, rep = run_cli(capsys, "examples", name)
+    assert code == 0 and rep["details"][key] == "empty"
+    assert "witness" not in rep["details"]
 
 
 def test_unknown_example_is_malformed(capsys):

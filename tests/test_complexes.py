@@ -132,6 +132,34 @@ def test_suspended_projective_plane_fails_the_link_check():
     assert rep.links_ok is False and not rep.ok
 
 
+@pytest.mark.parametrize(
+    "num_vertices, facets, match",
+    [
+        (3, (), "at least one facet"),
+        (4, ((0, 1, 2), (2, 3)), "mixed dimension"),
+        (3, ((0, 1, 1),), "repeated vertex"),
+        (3, ((0, 1, 3),), "outside vertex range"),
+        (3, ((-1, 0, 1),), "outside vertex range"),
+    ],
+)
+def test_simplicial_complex_rejections(num_vertices, facets, match):
+    with pytest.raises(ValueError, match=match):
+        SimplicialComplex(num_vertices, facets)
+
+
+@pytest.mark.parametrize(
+    "signs, match",
+    [
+        ((1, -1, 1), "one sign per facet"),
+        ((1, -1, 1, 0), "must be \\+1 or -1"),
+        ((1, -1, 1, 2), "must be \\+1 or -1"),
+    ],
+)
+def test_oriented_complex_rejections(signs, match):
+    with pytest.raises(ValueError, match=match):
+        OrientedComplex(simplex_boundary(3).complex, signs)
+
+
 # ---------------------------------------------------------------------------
 # the flag-table subdivision against the per-permutation reference
 # ---------------------------------------------------------------------------

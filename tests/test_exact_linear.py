@@ -95,6 +95,8 @@ def test_malformed():
         maximize((1,), LinearSystem(1, lt=[((1,), 1)]))
     with pytest.raises(MalformedSystem):
         maximize((1, 2), LinearSystem(1))
+    with pytest.raises(MalformedSystem):
+        LinearSystem(-1)
 
 
 def _check_feasible(sys, witness):

@@ -126,6 +126,28 @@ def test_directed_transfers_hand_points_rejected():
     assert not ok
 
 
+def test_verifier_failure_reasons():
+    game = embed_coalitional(loss_sharing_tu_modified())
+    high = (100, 100, 100)  # above every utility set, so unblocked
+    assert unblocked(game, high)
+    assert verify_fractional_core_point(game, high) == (False, "point is in no utility set")
+    assert verify_fractional_core_point(game, high, active=(0,)) == (
+        False,
+        "point outside utility sets [0]",
+    )
+
+
+@pytest.mark.parametrize("solve", [core_solve, is_balanced_game])
+def test_solvers_need_a_distinguished_firm(solve):
+    with pytest.raises(ValueError, match="needs a distinguished firm"):
+        solve(directed_transfers_game())
+
+
+def test_only_classical_games_embed():
+    with pytest.raises(TypeError, match="cannot embed GeneralizedGame"):
+        embed_coalitional(directed_transfers_game())
+
+
 def test_single_firm_trivial():
     u = ComprehensiveSet((point_orthant((0, 0)),))
     fs = FirmSystem(firms=[(1, 1)], resource=(1, 1))

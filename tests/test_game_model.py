@@ -12,6 +12,7 @@ from fraccore.game_model import (
     HalfSpace,
     Primitive,
     coalition_cylinder,
+    comprehensive_hull,
     contains,
     cover_labels,
     in_induced_cover,
@@ -22,7 +23,7 @@ from fraccore.game_model import (
     validate_game,
 )
 from fraccore.formats import tu_from_json, tu_to_json
-from fraccore.rationals import Q, rat, vec
+from fraccore.rationals import Q, dot, rat, vec
 
 
 def orthant_set(*points):
@@ -86,6 +87,82 @@ def test_negative_normal_rejected():
         HalfSpace((0, 0), 1)
 
 
+def _one_firm(dim=1):
+    return FirmSystem(firms=[(1,) * dim], resource=(1,) * dim)
+
+
+def _ntu_sets(grand):
+    return {(0,): orthant_set((0,)), (1,): orthant_set((0,)), (0, 1): grand}
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: Primitive(()), ValueError, "at least one half-space"),
+        (
+            lambda: Primitive((HalfSpace((1,), 0), HalfSpace((1, 1), 0))),
+            DimensionMismatch,
+            "mixed dimension",
+        ),
+        (lambda: ComprehensiveSet(()), ValueError, "at least one primitive"),
+        (
+            lambda: ComprehensiveSet((point_orthant((0,)), point_orthant((0, 0)))),
+            DimensionMismatch,
+            "mixed dimension",
+        ),
+        (
+            lambda: FirmSystem(firms=[(1, 0), (1,)], resource=(1, 1)),
+            DimensionMismatch,
+            "firm vector dimension",
+        ),
+        (
+            lambda: GeneralizedGame((orthant_set((0,)),) * 2, _one_firm()),
+            DimensionMismatch,
+            "one utility set per firm",
+        ),
+        (
+            lambda: GeneralizedGame(
+                (orthant_set((0,)), orthant_set((0, 0))),
+                FirmSystem(firms=[(1,), (1,)], resource=(1,)),
+            ),
+            DimensionMismatch,
+            "utility sets of mixed dimension",
+        ),
+        (
+            lambda: GeneralizedGame((orthant_set((0,)),), _one_firm(), distinguished=1),
+            IndexError,
+            "out of range",
+        ),
+        (lambda: TUGame(1, {(0,): 0, (): 1}), ValueError, "bad coalition"),
+        (lambda: TUGame(1, {(0,): 0, (1,): 1}), ValueError, "bad coalition"),
+        (lambda: TUGame(2, {(0,): 0, (0, 1): 1}), ValueError, "missing coalition values"),
+        (
+            lambda: CoalitionalNTUGame(2, _ntu_sets(orthant_set((0,)))),
+            DimensionMismatch,
+            "must live in 2 coordinates",
+        ),
+        (
+            lambda: CoalitionalNTUGame(2, {(0,): orthant_set((0,))}),
+            ValueError,
+            "missing coalition sets",
+        ),
+        (lambda: tau([], (0,)), ValueError, "at least one utility set"),
+        (lambda: comprehensive_hull([(0, 1), (1,)]), DimensionMismatch, "mixed dimension"),
+        (lambda: dot((1, 2), (1,)), ValueError, "length mismatch"),
+    ],
+)
+def test_constructors_and_inputs_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_bounded_above():
+    assert CoalitionalNTUGame(2, _ntu_sets(orthant_set((0, 0)))).bounded_above()
+    # x_1 <= 1 leaves x_2 unbounded above on the nonnegative orthant
+    open_grand = ComprehensiveSet((coalition_cylinder(2, (0,), 1),))
+    assert not CoalitionalNTUGame(2, _ntu_sets(open_grand)).bounded_above()
+
+
 def test_cylinder():
     c = coalition_cylinder(3, (0, 2), 5)
     s = ComprehensiveSet((c,))
@@ -110,6 +187,8 @@ def test_validate_game_zero_firm_fails():
     names = {c.name: c.passed for c in report.checks}
     assert not names["firm_totals_positive"]
     assert not report.ok
+    failed = [c.name for c in report.failures()]
+    assert failed == ["firm_totals_positive", "resource_in_cone"]
 
 
 def test_validate_game_resource_outside_cone():

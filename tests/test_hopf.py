@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from helpers_fibered import product_bundle_complex, sphere_complex
 from relabel import relabel
 from fraccore.errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
+from fraccore.topology import s3_12
 from fraccore.topology.complexes import (
+    OrientedComplex,
+    SimplicialComplex,
     barycentric_subdivision,
     propagate_orientation,
     simplex_boundary,
@@ -13,6 +16,11 @@ from fraccore.topology.complexes import (
 )
 from fraccore.topology.hopf import first_homology, hopf_invariant
 from fraccore.topology.s3_12 import COLORING, FACETS, checksum, load, SHA256
+
+# the 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7 = tuple(
+    tuple(sorted((i, (i + d) % 7, (i + 3) % 7))) for i in range(7) for d in (1, 2)
+)
 
 
 def test_asset_checksum_and_load():
@@ -84,6 +92,47 @@ def test_non_sphere_input_rejected():
     oc = simplex_boundary(2)
     with pytest.raises(NotSphere):
         hopf_invariant(oc, [0, 1, 2])
+
+
+def _open_tetrahedron():
+    return OrientedComplex(SimplicialComplex(4, ((0, 1, 2, 3),)), (1,)), [0, 1, 2, 2]
+
+
+def _suspended_torus():
+    # closed, connected and orientable, but the two apexes have torus links
+    K = SimplicialComplex(9, tuple(f + (apex,) for f in TORUS7 for apex in (7, 8)))
+    return propagate_orientation(K), [0] * 9
+
+
+def _asset_with_one_sign_flipped():
+    oc, coloring = load()
+    return OrientedComplex(oc.complex, (-oc.orientation[0], *oc.orientation[1:])), coloring
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (_open_tetrahedron, NotSphere, "closed connected orientable"),
+        (_suspended_torus, NotSphere, "vertex links"),
+        (_asset_with_one_sign_flipped, NotSphere, "orientation is not coherent"),
+        (lambda: (load()[0], (*COLORING[:-1], 4)), NotSimplicial, "four target vertices"),
+    ],
+)
+def test_hopf_invariant_rejections(build, error, match):
+    oc, vertex_map = build()
+    with pytest.raises(error, match=match):
+        hopf_invariant(oc, vertex_map)
+
+
+def test_asset_load_rejects_corrupted_data(monkeypatch):
+    monkeypatch.setattr(s3_12, "SHA256", "0" * 64)
+    with pytest.raises(NotSphere, match="checksum mismatch"):
+        load()
+    # an open complex whose checksum matches
+    monkeypatch.setattr(s3_12, "FACETS", FACETS[1:])
+    monkeypatch.setattr(s3_12, "SHA256", checksum())
+    with pytest.raises(NotSphere, match="manifold checks failed"):
+        load()
 
 
 def test_product_bundle_has_unsolvable_coboundary():

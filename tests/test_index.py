@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from relabel import relabel
 
 from fraccore.errors import BoundaryTouchesBalanced, NotIsolated
-from fraccore.gallery import single_bubble_cover, two_bubble_cover
+from fraccore.gallery import plane_field_cover, single_bubble_cover, two_bubble_cover
 from fraccore.game_model import FirmSystem
 from fraccore.topology.complexes import OrientedComplex, SimplicialComplex, propagate_orientation
 from fraccore.topology.degree import BalancedSimplexFound, Degree, LabeledCover
@@ -198,3 +198,8 @@ def test_index_sum_check_without_balanced_facets_subdivides_nothing(monkeypatch)
 def test_empty_component_rejected():
     with pytest.raises(ValueError, match="a component needs at least one facet"):
         component_index(single_bubble_cover(1), frozenset())
+
+
+def test_a_field_zero_on_a_grid_vertex_cannot_be_labelled():
+    with pytest.raises(ValueError, match="zero field value"):
+        plane_field_cover((1,), ((0, 0),), radius=2)

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraccore import exact_linear
+from fraccore.errors import DimensionMismatch
 from fraccore.exact_linear import Feasible, LinearSystem, solve_feasibility
 from fraccore.game_model import TUGame, coalitions
 from fraccore.gallery import loss_sharing_tu, loss_sharing_tu_modified
@@ -70,6 +72,11 @@ def test_reject_blocking_coalition():
     res = check_core_point(game, (-35, 0, 0))
     assert isinstance(res, Reject)
     assert res.coalition == (0,)
+
+
+def test_check_core_point_needs_one_payoff_per_player():
+    with pytest.raises(DimensionMismatch):
+        check_core_point(loss_sharing_tu(), (0, 0))
 
 
 def test_reject_inefficient():
