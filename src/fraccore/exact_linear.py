@@ -21,12 +21,25 @@ and reduced costs.  An optimum reports each variable's reduced cost
 c_B B^-1 A_j - c_j off the final objective row; where column j is the unit
 vector e_i, c_j plus that cost is the optimal dual value of row i.
 
-All functions are pure and safe to call concurrently.
+Phase 1 never reads the objective, so it is a property of the system: each
+``LinearSystem`` scales its rows to integers and runs phase 1 once, on its
+first solve, and keeps the outcome.  Every solve on that system then scales
+only its objective and runs phase 2 from the kept basis, on a shallow copy
+of the kept rows; no pivot changes a row in place, so the kept rows never
+change.  A system solved for many objectives pays for phase 1 once: the
+membership system of ``is_balanced_game`` under each target half-space,
+that of ``bounded_above`` under each coordinate, and the TU balancing
+system of one player count under every game's values.
+
+All functions are pure and safe to call concurrently: the kept outcome is
+a function of the system's value, so two threads that compute it at once
+keep equal outcomes and return equal results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MalformedSystem
 from .linalg import _clear_denominators, _eliminate
@@ -40,6 +53,11 @@ class LinearSystem:
     ``equalities`` rows mean <a,x> = b, ``leq`` rows <a,x> <= b and ``lt``
     rows <a,x> < b.  The variables are free, or all >= 0 when ``nonneg``
     is true; a sign constraint declared this way costs no row.
+
+    ``_start`` is the system's phase-1 outcome over its integer standard
+    form, computed on its first solve and kept: phase 1 runs once per
+    system, however many objectives it is solved for.  It is derived data,
+    so equality, hashing and repr ignore it.
     """
 
     num_vars: int
@@ -63,6 +81,10 @@ class LinearSystem:
                 raise MalformedSystem(
                     f"row of length {len(a)} in a system over {self.num_vars} variables"
                 )
+
+    @cached_property
+    def _start(self):
+        return _phase_one(*_standard_rows(self))
 
 
 @dataclass(frozen=True)
@@ -154,17 +176,17 @@ def _objective_row(rows, basis, c, det):
     return obj
 
 
-def _solve_standard(a_rows, b, c):
-    """max c.y s.t. a_rows y = b, y >= 0, all data integers.
+def _phase_one(a_rows, b, n):
+    """Phase 1 of max c.y s.t. a_rows y = b, y >= 0 over n columns, all
+    data integers; it reads no objective.
 
-    Returns ("infeasible",) | ("optimal", obj, y, det) |
-    ("unbounded", y, ray, det), every number an integer over det; ``obj``
-    is the final objective row: the reduced costs, then the value.
+    Returns None when the rows are infeasible, else (rows, basis, det): a
+    feasible basis with its tableau rows (n columns, then the right-hand
+    side) over det, redundant rows dropped.
     """
     m = len(a_rows)
-    n = len(c)
     rows = []
-    # phase 1: one artificial per row, minimize their sum
+    # one artificial per row, minimize their sum
     for i, (arow, bi) in enumerate(zip(a_rows, b)):
         art = [0] * m
         art[i] = 1
@@ -176,7 +198,7 @@ def _solve_standard(a_rows, b, c):
     obj = _objective_row(rows, basis, [0] * n + [-1] * m, 1)
     _, det = _bland_loop(rows, obj, basis, n + m, 1)  # bounded: objective <= 0
     if obj[-1] < 0:
-        return ("infeasible",)
+        return None
     # drive leftover artificials out of the basis; drop redundant rows
     keep = []
     for i in range(len(rows)):
@@ -187,8 +209,22 @@ def _solve_standard(a_rows, b, c):
             det = _pivot(rows, obj, basis, i, col, det)
         keep.append(i)
     rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    # phase 2
+    return rows, [basis[i] for i in keep], det
+
+
+def _solve_standard(start, c):
+    """max c.y from a system's phase-1 outcome ``start``, all data integers.
+
+    Runs phase 2 on copies of the row list and basis, so ``start`` stays as
+    it was.  Returns ("infeasible",) | ("optimal", obj, y, det) |
+    ("unbounded", y, ray, det), every number an integer over det; ``obj``
+    is the final objective row: the reduced costs, then the value.
+    """
+    if start is None:
+        return ("infeasible",)
+    rows, basis, det = start
+    rows, basis = rows[:], basis[:]
+    n = len(c)
     obj = _objective_row(rows, basis, c, det)
     entering, det = _bland_loop(rows, obj, basis, n, det)
     y = [0] * n
@@ -208,16 +244,15 @@ def _solve_standard(a_rows, b, c):
 # ---------------------------------------------------------------------------
 
 
-def _standard_form(objective, equalities, leqs, nonneg):
+def _standard_rows(sys):
     """Split x into u - w unless ``nonneg``, add one slack per inequality
-    and clear denominators: all rows by one common scale, the objective by
-    its own.  Returns integer rows, right-hand sides, objective and the
-    objective's scale."""
-    rows = equalities + leqs
-    width = len(objective) + 1
+    and scale every row to integers by one common factor.  Returns the
+    integer rows, right-hand sides and column count."""
+    rows = sys.equalities + sys.leq
+    width = sys.num_vars + 1
     flat, scale = _clear_denominators([x for a, rhs in rows for x in (*a, rhs)])
-    neq = len(equalities)
-    nslack = len(leqs)
+    neq = len(sys.equalities)
+    nslack = len(sys.leq)
     a_rows = []
     b = []
     for k in range(len(rows)):
@@ -226,11 +261,9 @@ def _standard_form(objective, equalities, leqs, nonneg):
         srow = [0] * nslack
         if k >= neq:
             srow[k - neq] = scale
-        a_rows.append(ints + srow if nonneg else ints + [-x for x in ints] + srow)
-    c, cscale = _clear_denominators(objective)
-    if not nonneg:
-        c += [-x for x in c]
-    return a_rows, b, c + [0] * nslack, cscale
+        a_rows.append(ints + srow if sys.nonneg else ints + [-x for x in ints] + srow)
+    ncols = (1 if sys.nonneg else 2) * sys.num_vars + nslack
+    return a_rows, b, ncols
 
 
 def _recover(y, det, n, nonneg):
@@ -247,8 +280,10 @@ def maximize(objective, sys: LinearSystem):
     if sys.lt:
         raise MalformedSystem("maximize does not accept strict inequalities")
     n, nonneg = sys.num_vars, sys.nonneg
-    a_rows, b, c, cscale = _standard_form(objective, sys.equalities, sys.leq, nonneg)
-    res = _solve_standard(a_rows, b, c)
+    c, cscale = _clear_denominators(objective)
+    if not nonneg:
+        c += [-x for x in c]
+    res = _solve_standard(sys._start, c + [0] * len(sys.leq))
     if res[0] == "infeasible":
         return Infeasible()
     if res[0] == "unbounded":

@@ -221,7 +221,7 @@ def cover_to_json(lc: LabeledCover) -> dict:
 
 def _complex(obj):
     facets = _int_lists(_object(obj)["facets"], "$.facets")
-    return SimplicialComplex(_count(obj, "vertices"), facets)
+    return _built(SimplicialComplex, "$.facets", _count(obj, "vertices"), facets)
 
 
 def _labels(labels):

@@ -32,6 +32,8 @@ class SimplicialComplex:
         )
         if not self.facets:
             raise ValueError("a complex needs at least one facet")
+        if not all(self.facets):
+            raise ValueError("empty facet")
         dims = {len(f) for f in self.facets}
         if len(dims) != 1:
             raise ValueError("facets of mixed dimension")
@@ -72,7 +74,7 @@ class SimplicialComplex:
         for f in self.facets:
             for a in f:
                 adj.setdefault(a, set()).update(u for u in f if u != a)
-        verts = set(adj)  # nonempty: a complex has a facet
+        verts = set(adj)  # nonempty: a complex has a facet, and no facet is empty
         seen = set()
         stack = [next(iter(verts))]
         while stack:

@@ -6,21 +6,31 @@ balanced, and its core nonempty, exactly when the optimum is the grand
 coalition's value: then the dual point is a core allocation, otherwise
 the optimal support is a violating balanced family.
 
+The constraints depend only on the player count, so each count gets one
+balancing system, built once per process: its rows are scaled to integers
+and its phase 1 runs on the first game of that count, and every game then
+runs only the phase-2 pivots that its values decide.
+
 Both questions read the same LP, so its last result is memoized for one
 game, keyed by the game's value: ``core_nonempty`` followed by
 ``is_balanced_tu`` on one game solves it once.  The memo holds one entry,
 so only consecutive questions about equal games share an LP.
+
+``check_core_point`` decides on integers: it scales the allocation to
+numerators over one denominator and compares each coalition's shortfall by
+cross-multiplying, so it builds a rational only for its message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .balance import BalancedFamily, checked_family
 from .errors import DimensionMismatch
 from .exact_linear import LinearSystem, Optimal, maximize
 from .game_model import TUGame, coalitions
+from .linalg import _clear_denominators
 from .rationals import ONE, ZERO, Q, vec
 
 
@@ -56,13 +66,20 @@ class Reject:
     reason: str
 
 
+@cache
+def _balancing_system(n: int):
+    """The coalitions of n players in ``coalitions`` order, and the system
+    w >= 0 with sum_{S ∋ i} w_S = 1 per player i, one column per coalition."""
+    coals = tuple(coalitions(n))
+    eqs = [(tuple(ONE if i in c else ZERO for c in coals), ONE) for i in range(n)]
+    return coals, LinearSystem(len(coals), equalities=tuple(eqs), nonneg=True)
+
+
 @lru_cache(maxsize=1)
 def _balancing_lp(game: TUGame):
-    """max sum_S w_S v(S) over w >= 0 with sum_{S ∋ i} w_S = 1 per player i."""
-    coals = tuple(coalitions(game.n))
-    eqs = [(tuple(ONE if i in c else ZERO for c in coals), ONE) for i in range(game.n)]
-    sys = LinearSystem(len(coals), equalities=tuple(eqs), nonneg=True)
-    res = maximize([game.value(c) for c in coals], sys)
+    """max sum_S w_S v(S) over the balancing system of game.n players."""
+    coals, sys = _balancing_system(game.n)
+    res = maximize([game.values[c] for c in coals], sys)
     assert isinstance(res, Optimal), "balancing polytope is nonempty and bounded"
     return coals, res
 
@@ -77,9 +94,9 @@ def core_nonempty(game: TUGame):
     the optimum, which is v(N) exactly when the game is balanced.
     """
     _, res = _balancing_lp(game)
-    if res.value > game.value(game.grand):
+    if res.value > game.values[game.grand]:
         return Empty()
-    return CorePoint(tuple(game.value((i,)) + res.reduced_costs[i] for i in range(game.n)))
+    return CorePoint(tuple(game.values[(i,)] + res.reduced_costs[i] for i in range(game.n)))
 
 
 def is_balanced_tu(game: TUGame):
@@ -90,7 +107,7 @@ def is_balanced_tu(game: TUGame):
     optimal support exceeding it is returned as the violating family.
     """
     coals, res = _balancing_lp(game)
-    if res.value <= game.value(game.grand):
+    if res.value <= game.values[game.grand]:
         return Balanced(res.value)
     support = [(c, w) for c, w in zip(coals, res.witness) if w > ZERO]
     family = checked_family([c for c, _ in support], [w for _, w in support], game.n)
@@ -98,20 +115,29 @@ def is_balanced_tu(game: TUGame):
 
 
 def check_core_point(game: TUGame, x):
-    """Accept iff efficient and unblocked; otherwise name the worst offender."""
+    """Accept iff efficient and unblocked; otherwise name the worst offender,
+    the first in ``coalitions`` order among equally short ones.
+
+    With x = xs / d, coalition S with v(S) = p / q is short by
+    (p d - q xs(S)) / (q d); the numerators are compared over their
+    denominators q, since d is common to all."""
     x = vec(x)
     if len(x) != game.n:
         raise DimensionMismatch("allocation length does not match player count")
-    total = sum(x, ZERO)
-    grand_value = game.value(game.grand)
-    if total != grand_value:
-        return Reject(None, f"efficiency fails: sum {total} != {grand_value}")
-    worst = None
-    for coal in coalitions(game.n):
-        got = sum((x[i] for i in coal), ZERO)
-        gap = game.value(coal) - got
-        if gap > ZERO and (worst is None or gap > worst[1]):
-            worst = (coal, gap)
+    xs, d = _clear_denominators(x)
+    grand_value = game.values[game.grand]
+    total = sum(xs)
+    if total * grand_value.denominator != grand_value.numerator * d:
+        return Reject(None, f"efficiency fails: sum {Q(total, d)} != {grand_value}")
+    coals, _ = _balancing_system(game.n)
+    worst = None  # (coalition, shortfall numerator, its q)
+    for coal in coals:
+        v = game.values[coal]
+        q = v.denominator
+        short = v.numerator * d - q * sum(xs[i] for i in coal)
+        if short > 0 and (worst is None or short * worst[2] > worst[1] * q):
+            worst = (coal, short, q)
     if worst is None:
         return Accept()
-    return Reject(worst[0], f"coalition {worst[0]} is short by {worst[1]}")
+    coal, short, q = worst
+    return Reject(coal, f"coalition {coal} is short by {Q(short, q * d)}")

@@ -405,7 +405,7 @@ def test_nonneg_costs_no_row_or_column(monkeypatch):
     # one column per variable plus one slack per inequality row, where the
     # explicit rows -e_j.x <= 0 would add a row, a slack and a split each
     shapes = []
-    _record(monkeypatch, "_solve_standard", shapes, lambda a, b, c: (len(a), len(c)))
+    _record(monkeypatch, "_solve_standard", shapes, lambda start, c: (len(start[0]), len(c)))
     equalities = [((1, 1, 0), 1)]
     leq = [((0, 1, 1), 2)]
     maximize((1, 0, 0), LinearSystem(3, equalities, leq, nonneg=True))
@@ -466,3 +466,78 @@ def test_dual_point_off_an_identity_block(data):
         column = [a[j] for a, _ in rows]
         assert dot(y, column) - objective[j] == res.reduced_costs[j]
     assert all(y_i >= 0 for y_i in y[len(sys.equalities) :])
+
+
+# ---------------------------------------------------------------------------
+# one phase 1 per system, however many objectives it is solved for
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def reused_systems(draw):
+    """A system's data and 2-4 objectives, the first repeated last.  The
+    rows are random (often unbounded), made infeasible by two parallel
+    equalities with different right-hand sides, or given a redundant
+    equality: a copy of one scaled by 2."""
+    _, n, eqs, leq, _ = draw(random_systems(min_vars=0))
+    a = tuple(draw(st.lists(coefficients, min_size=n, max_size=n)))
+    b = draw(right_hand_sides)
+    kind = draw(st.sampled_from(["random", "infeasible", "redundant"]))
+    if kind == "infeasible":
+        eqs += ((a, b), (a, b + 1))
+    elif kind == "redundant":
+        eqs += ((a, b), (tuple(2 * x for x in a), 2 * b))
+    objective = st.lists(coefficients, min_size=n, max_size=n)
+    objectives = draw(st.lists(objective, min_size=2, max_size=4))
+    return n, eqs, leq, objectives + objectives[:1]
+
+
+def _reduced_costs(res):
+    return res.reduced_costs if isinstance(res, Optimal) else None
+
+
+@given(reused_systems(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_one_system_solved_for_several_objectives(data, nonneg):
+    # each solve on the kept phase-1 outcome equals a solve on a freshly
+    # built equal system, reduced costs included, and the reference's result
+    n, eqs, leq, objectives = data
+    sys = LinearSystem(n, eqs, leq, nonneg=nonneg)
+    for objective in objectives:
+        res = maximize(objective, sys)
+        fresh = maximize(objective, LinearSystem(n, eqs, leq, nonneg=nonneg))
+        assert res == fresh and _reduced_costs(res) == _reduced_costs(fresh)
+        ref = reference_maximize(objective, sys)
+        if nonneg:
+            _check_nonneg_result(objective, sys, res, ref)
+        else:
+            _assert_same(res, ref)
+    assert solve_feasibility(sys) == solve_feasibility(LinearSystem(n, eqs, leq, nonneg=nonneg))
+
+
+@pytest.mark.parametrize(
+    "sys, kind",
+    [
+        (LinearSystem(2, leq=[((1, 0), 1), ((0, 1), 1)]), Optimal),
+        (LinearSystem(2, equalities=[((1, 1), 1), ((2, 2), 2)], nonneg=True), Optimal),
+        (LinearSystem(2, equalities=[((1, 1), 1), ((1, 1), 2)]), Infeasible),
+        (LinearSystem(2, leq=[((1, -1), 1)], nonneg=True), Unbounded),
+    ],
+)
+def test_phase_one_runs_once_per_system(monkeypatch, sys, kind):
+    # the first solve runs phase 1 and keeps its outcome; later solves on
+    # the instance run only phase 2, while an equal new instance runs its own
+    starts = []
+    _record(monkeypatch, "_phase_one", starts, lambda a_rows, b, n: len(a_rows))
+    solves = []
+    _record(monkeypatch, "_solve_standard", solves, lambda start, c: c)
+    objectives = [(1, 1), (-1, 2), (0, 0), (1, 1)]
+    results = [maximize(objective, sys) for objective in objectives]
+    assert len(starts) == 1 and len(solves) == 4
+    assert isinstance(results[-1], kind) and results[0] == results[-1]
+    assert isinstance(solve_feasibility(sys), Infeasible if kind is Infeasible else Feasible)
+    assert len(starts) == 1 and len(solves) == 5
+    equal = LinearSystem(sys.num_vars, sys.equalities, sys.leq, nonneg=sys.nonneg)
+    assert equal == sys and hash(equal) == hash(sys) and repr(equal) == repr(sys)
+    assert maximize((1, 1), equal) == results[0]
+    assert len(starts) == 2

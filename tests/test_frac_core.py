@@ -229,6 +229,29 @@ def test_is_balanced_game_single_firm():
     assert isinstance(is_balanced_game(game), BalancedGame)
 
 
+def test_is_balanced_game_runs_phase_one_once_per_system(monkeypatch):
+    # the one balanced subset without the distinguished firm, {0, 1, 2},
+    # gives one membership system, solved for each of the target's 3 rows
+    from fraccore import exact_linear
+
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    fs = FirmSystem(firms=[*units, (1, 1, 1)], resource=(1, 1, 1))
+    below = [ComprehensiveSet((point_orthant(p),)) for p in [(0, 0, 0)] * 3 + [(1, 1, 1)]]
+    game = GeneralizedGame(tuple(below), fs, distinguished=3)
+    assert is_balanced_game(game) == BalancedGame()  # warms the balance cache
+    counts = {"_phase_one": 0, "_solve_standard": 0}
+    for name in counts:
+        inner = getattr(exact_linear, name)
+
+        def counting(*args, name=name, inner=inner):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(exact_linear, name, counting)
+    assert is_balanced_game(game) == BalancedGame()
+    assert counts == {"_phase_one": 1, "_solve_standard": 3}
+
+
 def test_is_balanced_game_unsupported_on_union_target():
     u = ComprehensiveSet((point_orthant((0, 0)), point_orthant((1, -1))))
     fs = FirmSystem(firms=[(1, 1)], resource=(1, 1))

@@ -18,6 +18,7 @@ from fraccore.tu_solver import (
     Reject,
     Violated,
     _balancing_lp,
+    _balancing_system,
     check_core_point,
     core_nonempty,
     is_balanced_tu,
@@ -114,9 +115,9 @@ def _lp_shapes(monkeypatch):
     shapes = []
     inner = exact_linear._solve_standard
 
-    def spy(a_rows, b, c):
-        shapes.append((len(a_rows), len(c)))
-        return inner(a_rows, b, c)
+    def spy(start, c):
+        shapes.append((len(start[0]), len(c)))
+        return inner(start, c)
 
     monkeypatch.setattr(exact_linear, "_solve_standard", spy)
     return shapes
@@ -154,6 +155,27 @@ def test_memo_holds_only_the_last_game(monkeypatch):
     is_balanced_tu(b)
     assert is_balanced_tu(a) == first
     assert shapes == [(5, 31)] * 3
+
+
+def test_one_balancing_system_per_player_count(monkeypatch):
+    # the system of a player count keeps its phase-1 outcome: later games of
+    # that count run only phase 2, one solve each
+    for n in (3, 5):
+        is_balanced_tu(_random_tu(random.Random(n), n))
+    starts = []
+    inner = exact_linear._phase_one
+
+    def spy(*args):
+        starts.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(exact_linear, "_phase_one", spy)
+    shapes = _lp_shapes(monkeypatch)
+    for seed in range(3):
+        for n in (5, 3):
+            core_nonempty(_random_tu(random.Random(100 + seed), n))
+    assert starts == [] and shapes == [(5, 31), (3, 7)] * 3
+    assert _balancing_system(5)[1] is _balancing_system(5)[1]
 
 
 def test_equal_games_share_one_balancing_lp(monkeypatch):
@@ -261,3 +283,74 @@ def test_memo_gives_the_verdicts_of_fresh_lps(drawn, picks):
             game = TUGame(game.n, dict(game.values))
         asks.append((game, question))
     assert _ask_all(asks, clear=False) == _ask_all(asks, clear=True)
+
+
+# ---------------------------------------------------------------------------
+# the integer core-point check against the rational definition
+# ---------------------------------------------------------------------------
+
+
+def reference_check_core_point(game: TUGame, x):
+    """The definition over rationals: efficiency, then the coalition short
+    by the most, the first in ``coalitions`` order among ties."""
+    x = tuple(Q(v) for v in x)
+    if len(x) != game.n:
+        raise DimensionMismatch("allocation length does not match player count")
+    total = sum(x, ZERO)
+    grand_value = game.value(game.grand)
+    if total != grand_value:
+        return Reject(None, f"efficiency fails: sum {total} != {grand_value}")
+    worst = None
+    for coal in coalitions(game.n):
+        gap = game.value(coal) - sum((x[i] for i in coal), ZERO)
+        if gap > ZERO and (worst is None or gap > worst[1]):
+            worst = (coal, gap)
+    if worst is None:
+        return Accept()
+    return Reject(worst[0], f"coalition {worst[0]} is short by {worst[1]}")
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def core_point_checks(draw):
+    """A game and an allocation with non-integer entries.  Each coalition's
+    value is its allocated total plus a gap from a few fractions, so that
+    several short coalitions tie; the grand value is efficient, or off by a
+    fraction, and the allocation has the wrong length now and then."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    x = draw(st.lists(small_fractions, min_size=n, max_size=n))
+    gaps = st.sampled_from([Q(-1), Q(-1, 3), ZERO, Q(1, 4), Q(1, 2), Q(1, 2), Q(2, 3)])
+    values = {c: sum((x[i] for i in c), ZERO) + draw(gaps) for c in coalitions(n)}
+    values[tuple(range(n))] -= draw(st.sampled_from([ZERO, ZERO, Q(1, 5), Q(-7, 2)]))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        x = x + [Q(1, 2)] if draw(st.booleans()) else x[:-1]
+    return TUGame(n, values), x
+
+
+@given(core_point_checks(), st.sampled_from([Q, str]))
+@settings(max_examples=300, deadline=None)
+def test_integer_core_check_matches_the_definition(drawn, form):
+    # verdict, coalition and message equal the rational reference's; the
+    # allocation is passed as rationals or as "p/q" strings
+    game, x = drawn
+    x = [form(v) for v in x]
+    try:
+        want = reference_check_core_point(game, x)
+    except DimensionMismatch as exc:
+        with pytest.raises(DimensionMismatch, match=str(exc)):
+            check_core_point(game, x)
+        return
+    assert check_core_point(game, x) == want
+
+
+def test_first_coalition_wins_a_tie():
+    # over (1/4, -1/4), {0} and {1} are each short by 1/2
+    x = (Q(1, 4), Q(-1, 4))
+    game = TUGame(2, {(0,): Q(3, 4), (1,): Q(1, 4), (0, 1): ZERO})
+    assert check_core_point(game, x) == Reject((0,), "coalition (0,) is short by 1/2")
+    # over (0, 0, 0), {0, 2} and {1, 2} are each short by 2, {0, 1} by 1
+    game = TUGame(3, {(0,): 0, (1,): 0, (2,): 0, (0, 1): 1, (0, 2): 2, (1, 2): 2, (0, 1, 2): 0})
+    want = Reject((0, 2), "coalition (0, 2) is short by 2")
+    assert check_core_point(game, (0, 0, 0)) == want == reference_check_core_point(game, (0, 0, 0))
