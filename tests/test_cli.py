@@ -406,15 +406,16 @@ def test_distinguished_firm_required(capsys, command):
 @pytest.mark.parametrize(
     "command, data, field, value, path",
     [
-        ("hopf", "sphere-asset.json", "facets", [[]], "$.facets: empty facet"),
-        ("hopf", "sphere-asset.json", "facets", [[0, 1, 2, 99]], "$.facets: facet"),
+        ("hopf", "sphere-asset.json", "facets", [[]], "$"),
         ("hopf", "sphere-asset.json", "facets", [[0, True, 2, 5]], "$.facets"),
-        # no path of its own: the catch-all of a document's reading
-        ("validate", "example2.json", "firms", 5, "$: 'int' object is not iterable"),
         ("validate", "example2.json", "utilities", [], "$.utilities"),
         ("validate", "example2.json", "distinguished", "x", "$.distinguished"),
         ("validate", "example2.json", "distinguished", 99, "$.distinguished"),
         ("validate", "example2.json", "dimension", 4, "$.dimension"),
+        ("hopf", "sphere-asset.json", "facets", [[]], "$.facets: empty facet"),
+        ("hopf", "sphere-asset.json", "facets", [[0, 1, 2, 99]], "$.facets: facet"),
+        # no path of its own: the catch-all of a document's reading
+        ("validate", "example2.json", "firms", 5, "$: 'int' object is not iterable"),
     ],
 )
 def test_malformed_field(capsys, tmp_path, command, data, field, value, path):

@@ -136,12 +136,12 @@ def test_suspended_projective_plane_fails_the_link_check():
     "num_vertices, facets, match",
     [
         (3, (), "at least one facet"),
-        (3, ((),), "empty facet"),
-        (3, ((), (0, 1)), "empty facet"),
         (4, ((0, 1, 2), (2, 3)), "mixed dimension"),
         (3, ((0, 1, 1),), "repeated vertex"),
         (3, ((0, 1, 3),), "outside vertex range"),
         (3, ((-1, 0, 1),), "outside vertex range"),
+        (3, ((),), "empty facet"),
+        (3, ((), (0, 1)), "empty facet"),
     ],
 )
 def test_simplicial_complex_rejections(num_vertices, facets, match):
