@@ -7,18 +7,20 @@ coalitions are the minimal balanced subsets of the coalition firm system,
 their weights rescaled.
 
 Balancedness depends only on the firm system, so each (firm system, mode)
-pair gets one memoized test, kept in a bounded process-wide cache keyed by
-the firm system's value.  One rule decides a member set: the balancing LP
-that ``game_model`` builds, run once per set and remembered.  The minimal
-balanced subsets are found apart from it, each by one exact elimination,
-and their weights join the same memo.
+pair gets one memoized test, kept on the firm system.  A system takes an
+equal live system's tests on its first use, through a registry keyed by
+value that holds systems weakly: equal systems share one test while any of
+them lives, and no bound evicts one.  One rule decides a member set: the
+balancing LP that ``game_model`` builds, run once per set and remembered.
+The minimal balanced subsets are found apart from it, each by one exact
+elimination, and their weights join the same memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
+from weakref import WeakValueDictionary
 
 from .errors import CapExceeded, CountMismatch, IndexOutOfRange
 from .game_model import (
@@ -183,18 +185,27 @@ class BalanceTest:
         return self._minimal
 
 
-# firm systems (per mode) whose tests stay cached, least recently used out
-TEST_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=TEST_CACHE_SIZE)
-def _cached_test(fs: FirmSystem, mode: str) -> BalanceTest:
-    return BalanceTest(fs, mode)
+# a live firm system with tests, per firm system value
+_live = WeakValueDictionary()
 
 
 def balance_test(fs: FirmSystem, mode: str = "cone") -> BalanceTest:
-    """The process-wide memoized test of (fs, mode), keyed by fs's value."""
-    return _cached_test(fs, mode)
+    """The memoized test of (fs, mode), kept on fs.
+
+    On its first use a system takes the tests of an equal live system, if
+    there is one, so equal systems share one test per mode while any of
+    them lives."""
+    tests = fs._tests
+    if tests is None:
+        twin = _live.setdefault((fs.firms, fs.resource), fs)
+        if twin._tests is None:
+            object.__setattr__(twin, "_tests", {})
+        tests = twin._tests
+        object.__setattr__(fs, "_tests", tests)
+    test = tests.get(mode)
+    if test is None:
+        test = tests[mode] = BalanceTest(fs, mode)
+    return test
 
 
 def minimal_balanced_subsets(

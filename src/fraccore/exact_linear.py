@@ -15,11 +15,15 @@ integer over one shared denominator, the basis determinant.  The update
 (``_eliminate``) and the integer scaling (``_clear_denominators``) are the
 ones ``linalg`` reduces its matrices with: the package has one exact
 elimination kernel.  Positive scaling changes no sign and no ratio, so the
-pivots are those of the same simplex over rationals.  Rationals appear only
-when reading the input and when building the returned value, witness, ray
-and reduced costs.  An optimum reports each variable's reduced cost
-c_B B^-1 A_j - c_j off the final objective row; where column j is the unit
-vector e_i, c_j plus that cost is the optimal dual value of row i.
+pivots are those of the same simplex over rationals.  A row given as ints
+is kept as it is, so a caller with integer rows (the certificate search of
+``frac_core``) builds no rational for them; its ``scale`` names the common
+factor those rows were scaled by, which the slack columns take too.
+Rationals appear only when reading other input and when building the
+returned value, witness, ray and reduced costs.  An optimum reports each
+variable's reduced cost c_B B^-1 A_j - c_j off the final objective row;
+where column j is the unit vector e_i, c_j plus that cost is the optimal
+dual value of row i.
 
 Phase 1 never reads the objective, so it is a property of the system: each
 ``LinearSystem`` scales its rows to integers and runs phase 1 once, on its
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 
 from .errors import MalformedSystem
 from .linalg import _clear_denominators, _eliminate
@@ -52,7 +57,14 @@ class LinearSystem:
 
     ``equalities`` rows mean <a,x> = b, ``leq`` rows <a,x> <= b and ``lt``
     rows <a,x> < b.  The variables are free, or all >= 0 when ``nonneg``
-    is true; a sign constraint declared this way costs no row.
+    is true; a sign constraint declared this way costs no row.  A row of
+    ints is kept as given, any other is coerced to rationals.
+
+    ``scale`` is the positive factor by which every row was multiplied
+    before it was given: integer rows made from rational ones by one common
+    factor pass that factor.  The standard form scales each slack column
+    with its row, so a ray has the length it has over the rational rows;
+    no feasible set, pivot, witness or value depends on it.
 
     ``_start`` is the system's phase-1 outcome over its integer standard
     form, computed on its first solve and kept: phase 1 runs once per
@@ -65,17 +77,18 @@ class LinearSystem:
     leq: tuple = ()
     lt: tuple = ()
     nonneg: bool = False
+    scale: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "equalities", tuple((vec(a), rat(b)) for a, b in self.equalities)
-        )
-        object.__setattr__(self, "leq", tuple((vec(a), rat(b)) for a, b in self.leq))
-        object.__setattr__(self, "lt", tuple((vec(a), rat(b)) for a, b in self.lt))
+        object.__setattr__(self, "equalities", tuple(_row(*r) for r in self.equalities))
+        object.__setattr__(self, "leq", tuple(_row(*r) for r in self.leq))
+        object.__setattr__(self, "lt", tuple(_row(*r) for r in self.lt))
         if self.num_vars < 0:
             raise MalformedSystem("negative variable count")
         if type(self.nonneg) is not bool:
             raise MalformedSystem(f"nonneg must be a bool, not {self.nonneg!r}")
+        if type(self.scale) is not int or self.scale < 1:
+            raise MalformedSystem(f"scale must be a positive int, not {self.scale!r}")
         for a, _ in self.equalities + self.leq + self.lt:
             if len(a) != self.num_vars:
                 raise MalformedSystem(
@@ -85,6 +98,13 @@ class LinearSystem:
     @cached_property
     def _start(self):
         return _phase_one(*_standard_rows(self))
+
+
+def _row(a, b):
+    """A row (a, b) as given when its entries are ints, else as rationals."""
+    if type(a) is tuple and type(b) is int and {int}.issuperset(map(type, a)):
+        return a, b
+    return vec(a), rat(b)
 
 
 @dataclass(frozen=True)
@@ -149,8 +169,10 @@ def _bland_loop(rows, obj, basis, ncols, det):
     entering column index and det if the problem is unbounded in that
     direction."""
     while True:
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
+        for col in range(ncols):
+            if obj[col] < 0:
+                break
+        else:
             return None, det
         best = None  # row of least (ratio, basis var); det cancels
         for i, row in enumerate(rows):
@@ -195,7 +217,12 @@ def _phase_one(a_rows, b, n):
         else:
             rows.append(arow + art + [bi])
     basis = list(range(n, n + m))
-    obj = _objective_row(rows, basis, [0] * n + [-1] * m, 1)
+    # minus the column sums: the objective row of -sum(artificials), zero
+    # on the artificial basis
+    obj = [0] * (n + m + 1)
+    for row in rows:
+        obj = list(map(sub, obj, row))
+    obj[n : n + m] = [0] * m
     _, det = _bland_loop(rows, obj, basis, n + m, 1)  # bounded: objective <= 0
     if obj[-1] < 0:
         return None
@@ -246,11 +273,13 @@ def _solve_standard(start, c):
 
 def _standard_rows(sys):
     """Split x into u - w unless ``nonneg``, add one slack per inequality
-    and scale every row to integers by one common factor.  Returns the
-    integer rows, right-hand sides and column count."""
+    and scale every row to integers by one common factor, each slack with
+    its row.  Returns the integer rows, right-hand sides and column
+    count."""
     rows = sys.equalities + sys.leq
     width = sys.num_vars + 1
     flat, scale = _clear_denominators([x for a, rhs in rows for x in (*a, rhs)])
+    scale *= sys.scale
     neq = len(sys.equalities)
     nslack = len(sys.leq)
     a_rows = []

@@ -106,6 +106,8 @@ def firm_system_from_json(obj) -> FirmSystem:
     """The firm system of a game, cover or firm-system document."""
     with _reading():
         resource = _numvec(_object(obj)["resource"], "$.resource")
+        if not isinstance(obj["firms"], list):
+            raise MalformedInput("$.firms: expected a list")
         firms = [_numvec(v, f"$.firms[{i}]") for i, v in enumerate(obj["firms"])]
         for i, v in enumerate(firms):
             if len(v) != len(resource):
@@ -230,7 +232,8 @@ def _labels(labels):
 
 def cover_from_json(obj) -> LabeledCover:
     with _reading():
-        oc = OrientedComplex(_complex(obj), _ints(obj["orientation"], "$.orientation"))
+        K, orientation = _complex(obj), _ints(obj["orientation"], "$.orientation")
+        oc = _built(OrientedComplex, "$.orientation", K, orientation)
         return LabeledCover(oc, _labels(obj["labels"]), firm_system_from_json(obj))
 
 
@@ -243,7 +246,8 @@ def complex_from_json(obj):
             if oc is None:
                 raise MalformedInput("$.orientation: missing and not derivable")
         else:
-            oc = OrientedComplex(K, _ints(orientation, "$.orientation"))
+            orientation = _ints(orientation, "$.orientation")
+            oc = _built(OrientedComplex, "$.orientation", K, orientation)
         labels = obj.get("labels")
         if labels is not None:
             labels = _labels(labels)

@@ -15,6 +15,13 @@ above 0) or member missing the point (uplift below 0) gives the children;
 a point with neither is a witness.  A core is searched the same way, with
 the distinguished firm as the only member.
 
+The LP rows are integers: each solve reads the half-spaces' integer rows,
+brings them to one common scale for the game (the lcm of their scales,
+which is 1 for integer data) and negates the escape rows once.  Every LP
+then gets its rows times that one factor, and passes it as the system's
+``scale``, so it pivots, and returns witnesses and rays, exactly as over
+the rational rows.
+
 Everything is deterministic: subsets in (size, lex) order, primitives and
 half-spaces in construction order.
 """
@@ -22,7 +29,9 @@ half-spaces in construction order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from math import lcm
+from operator import neg
 
 from .balance import DEFAULT_FIRM_CAP as DEFAULT_SUBSET_CAP
 from .balance import balance_test, minimal_balanced_subsets
@@ -194,29 +203,46 @@ class _Budget:
             raise CapExceeded("certificate search exceeded its node cap")
 
 
-def _membership_rows(prim: Primitive):
-    return [(h.normal, h.offset) for h in prim.halfspaces]
+def _lp_rows(utilities):
+    """(rows, scale): each primitive's membership rows <a, x> <= b, per
+    utility set, as integer LP rows over one common scale, the lcm of the
+    half-spaces' scales.  A uniform positive factor changes no pivot, so
+    every search LP pivots as it would over the rational rows; for integer
+    data the scale is 1 and a row is the half-space's own."""
+    scale = lcm(*(s for u in utilities for p in u.primitives for *_, s in p.rows))
+    rows = [
+        [
+            tuple(
+                (a, b) if s == scale else (tuple(x * (scale // s) for x in a), b * (scale // s))
+                for a, b, _, s in p.rows
+            )
+            for p in u.primitives
+        ]
+        for u in utilities
+    ]
+    return rows, scale
 
 
-def _escape_row(h: HalfSpace):
-    """<normal, x> >= offset: the point is out of the half-space's interior."""
-    return (tuple(-a for a in h.normal), -h.offset)
+def _escape_rows(membership):
+    """Each membership row reversed, <-a, x> <= -b: the point is out of
+    the half-space's interior."""
+    return [[tuple((tuple(map(neg, a)), -b) for a, b in prim) for prim in u] for u in membership]
 
 
-def _forced_rows(utilities, members):
+def _forced_rows(membership, escapes, members):
     """Rows every admissible point satisfies: membership in each
     single-primitive member, and escape from each single-half-space
     primitive."""
     rows = []
     for i in members:
-        if len(utilities[i].primitives) == 1:
-            rows += _membership_rows(utilities[i].primitives[0])
-    for u in utilities:
-        rows += [_escape_row(p.halfspaces[0]) for p in u.primitives if len(p.halfspaces) == 1]
+        if len(membership[i]) == 1:
+            rows += membership[i][0]
+    for u in escapes:
+        rows += [prim[0] for prim in u if len(prim) == 1]
     return rows
 
 
-def _violation(utilities, members):
+def _violation(utilities, membership, escapes, members):
     """The definition check of a search as ``violation(point)``: ``None``
     if the point passes, else the options of the first violated condition,
     one escape row per half-space of a blocking primitive (uplift > 0), or
@@ -228,32 +254,33 @@ def _violation(utilities, members):
         for i, u in enumerate(utilities):
             signs = u.uplift_signs(point)
             if 1 in signs:
-                return [[_escape_row(h)] for h in u.primitives[signs.index(1)].halfspaces]
+                return [[row] for row in escapes[i][signs.index(1)]]
             if i in members and max(signs) < 0:
-                return [_membership_rows(p) for p in u.primitives]
+                return [list(prim) for prim in membership[i]]
         return None
 
     return violation
 
 
-def _search(n, rows, violation, budget):
+def _search(n, rows, scale, violation, budget):
     """Depth-first branching on violated conditions: one LP per node, which
-    maximizes the total payoff over its rows; infeasible rows prune, a point
-    that passes ``violation`` is returned, and otherwise there is one child
-    per option of the violated condition.  Every admissible point of the
-    node satisfies that condition, so it lies in a child and the search is
-    complete.  A condition branched on holds everywhere below, so none
-    repeats on a path: a path branches at most #primitives + #members times.
+    maximizes the total payoff over its rows (given times ``scale``);
+    infeasible rows prune, a point that passes ``violation`` is returned,
+    and otherwise there is one child per option of the violated condition.
+    Every admissible point of the node satisfies that condition, so it lies
+    in a child and the search is complete.  A condition branched on holds
+    everywhere below, so none repeats on a path: a path branches at most
+    #primitives + #members times.
     """
     budget.spend()
-    res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows)))
+    res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows), scale=scale))
     if isinstance(res, Infeasible):
         return None
     options = violation(res.witness)
     if options is None:
         return res.witness
     for option in options:
-        found = _search(n, rows + option, violation, budget)
+        found = _search(n, rows + option, scale, violation, budget)
         if found is not None:
             return found
     return None
@@ -275,9 +302,12 @@ def fractional_core_solve(
     """
     n = game.dim
     budget = _Budget(node_cap)
+    membership, scale = _lp_rows(game.utilities)
+    escapes = _escape_rows(membership)
     for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
-        rows = _forced_rows(game.utilities, subset)
-        found = _search(n, rows, _violation(game.utilities, subset), budget)
+        rows = _forced_rows(membership, escapes, subset)
+        violation = _violation(game.utilities, membership, escapes, subset)
+        found = _search(n, rows, scale, violation, budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -295,8 +325,11 @@ def core_solve(game: GeneralizedGame, node_cap: int = DEFAULT_NODE_CAP):
     if game.distinguished is None:
         raise ValueError("core_solve needs a distinguished firm")
     dist = (game.distinguished,)
-    rows = _forced_rows(game.utilities, dist)
-    found = _search(game.dim, rows, _violation(game.utilities, dist), _Budget(node_cap))
+    membership, scale = _lp_rows(game.utilities)
+    escapes = _escape_rows(membership)
+    rows = _forced_rows(membership, escapes, dist)
+    violation = _violation(game.utilities, membership, escapes, dist)
+    found = _search(game.dim, rows, scale, violation, _Budget(node_cap))
     return Empty() if found is None else CorePoint(vec(found))
 
 
@@ -321,15 +354,12 @@ def is_balanced_game(
         return Unsupported("distinguished utility set must be a single primitive")
     target_rows = target.primitives[0].halfspaces
     n = game.dim
+    membership, scale = _lp_rows(game.utilities)
     for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
         if dist in subset:
             continue  # the intersection then lies inside the target trivially
-        prim_lists = [game.utilities[i].primitives for i in subset]
-        for choice in product(*prim_lists):
-            rows = []
-            for prim in choice:
-                rows.extend(_membership_rows(prim))
-            sys = LinearSystem(n, leq=tuple(rows))
+        for choice in product(*(membership[i] for i in subset)):
+            sys = LinearSystem(n, leq=tuple(chain.from_iterable(choice)), scale=scale)
             for h in target_rows:
                 res = maximize(h.normal, sys)
                 if isinstance(res, Optimal):

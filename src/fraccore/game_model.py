@@ -8,8 +8,9 @@ and admits a closed form for the best uniform raise ("uplift") of a point,
 which keeps every membership and blocking decision exact.
 
 Each half-space also holds an integer row, computed once at construction:
-its normal and offset times the lcm of their denominators, and the gauge
-(the sum of the scaled normal), which is positive.  Uplift and membership
+its normal and offset times the lcm of their denominators, the gauge (the
+sum of the scaled normal), which is positive, and that lcm, with which
+``frac_core`` brings a game's rows to one common scale.  Uplift and membership
 scale the point once to integer numerators over one common denominator and
 then decide everything by integer comparisons and cross-multiplication, as
 the elimination kernel in ``linalg`` does.  ``tau`` and ``cover_labels``
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from operator import mul
 from types import MappingProxyType
@@ -49,9 +51,9 @@ def _scaled(x, dim):
 class HalfSpace:
     """{x : <normal, x> <= offset} with normal >= 0, normal != 0.
 
-    ``row`` is (a, b, g): the normal and offset scaled to integers by one
-    positive factor, and the gauge g = sum(a) > 0.  It is derived data, so
-    equality, hashing and repr ignore it."""
+    ``row`` is (a, b, g, s): the normal and offset scaled to integers by
+    s, the lcm of their denominators, and the gauge g = sum(a) > 0.  It is
+    derived data, so equality, hashing and repr ignore it."""
 
     normal: tuple
     offset: "Q"
@@ -60,12 +62,12 @@ class HalfSpace:
     def __post_init__(self):
         object.__setattr__(self, "normal", vec(self.normal))
         object.__setattr__(self, "offset", rat(self.offset))
-        *a, b = _clear_denominators((*self.normal, self.offset))[0]
+        (*a, b), s = _clear_denominators((*self.normal, self.offset))
         if any(x < 0 for x in a):
             raise ValueError("half-space normal must be componentwise nonnegative")
         if not any(a):
             raise ValueError("half-space normal must be nonzero")
-        object.__setattr__(self, "row", (tuple(a), b, sum(a)))
+        object.__setattr__(self, "row", (tuple(a), b, sum(a), s))
 
     @property
     def dim(self) -> int:
@@ -105,14 +107,14 @@ class Primitive:
 
     def _holds(self, p, d) -> bool:
         """Membership of the point p / d (p integer, d > 0)."""
-        return all(sum(map(mul, a, p)) <= b * d for a, b, _ in self.rows)
+        return all(sum(map(mul, a, p)) <= b * d for a, b, _, _ in self.rows)
 
     def _slack(self, p, d) -> tuple:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
         d > 0): the least of the rows' (b*d - <a, p>) / g, found by
         cross-multiplying, since every g is positive."""
         best = None
-        for a, b, g in self.rows:
+        for a, b, g, _ in self.rows:
             s = b * d - sum(map(mul, a, p))
             if best is None or s * best[1] < best[0] * g:
                 best = (s, g)
@@ -292,10 +294,15 @@ def _labels(utilities, p, d) -> frozenset:
 
 @dataclass(frozen=True)
 class FirmSystem:
-    """Firm resource vectors in R^d plus the resource vector r."""
+    """Firm resource vectors in R^d plus the resource vector r.
+
+    ``_tests`` holds the system's balance tests per mode once
+    ``balance.balance_test`` has made them; it is derived data, so
+    equality, hashing and repr ignore it."""
 
     firms: tuple
     resource: tuple
+    _tests: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "firms", tuple(vec(v) for v in self.firms))
@@ -304,16 +311,6 @@ class FirmSystem:
         for v in self.firms:
             if len(v) != d:
                 raise DimensionMismatch("firm vector dimension != resource dimension")
-
-    def __hash__(self):
-        # Fraction does not cache its hash, and the balance cache looks the
-        # system up by value; computed on first use, since most parsed
-        # systems are never hashed
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.firms, self.resource))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def count(self) -> int:
@@ -440,9 +437,14 @@ def coalitions(n: int):
     return out
 
 
+@cache
 def coalition_firm_system(n: int) -> FirmSystem:
     """Firms 1_S/|S|, one per coalition S in ``coalitions`` order, and
-    resource ones/n: the firm system of an embedded classical game."""
+    resource ones/n: the firm system of an embedded classical game.
+
+    One instance per n, so every embedded n-player game and
+    ``balance.minimal_balanced_families(n)`` read one antichain off the
+    balance test that this system keeps."""
     firms = [tuple(Q(1, len(c)) if i in c else ZERO for i in range(n)) for c in coalitions(n)]
     return FirmSystem(firms=firms, resource=(Q(1, n),) * n)
 

@@ -33,6 +33,8 @@ def _eliminate(row, prow, support, p, col, det):
 def _clear_denominators(values):
     """Integers and the positive scale (lcm of the denominators) such that
     values[i] == integers[i] / scale."""
+    if {int}.issuperset(map(type, values)):
+        return list(values), 1
     ratios = [x.as_integer_ratio() for x in values]
     scale = lcm(*[d for _, d in ratios])
     if scale == 1:

@@ -28,11 +28,14 @@ from fraccore.frac_core import (
     Empty,
     Nonempty,
     _Budget,
-    _membership_rows,
     make_witness,
 )
 from fraccore.game_model import contains
 from fraccore.rationals import ONE, ZERO, vec
+
+
+def _membership_rows(prim):
+    return [(h.normal, h.offset) for h in prim.halfspaces]
 
 
 def _escape_options(prim):

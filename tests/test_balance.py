@@ -1,9 +1,12 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraccore import balance
 from fraccore.balance import (
     BalancedFamily,
     BalanceTest,
@@ -378,12 +381,30 @@ def test_zero_resource_makes_every_singleton_minimal(fs):
 
 def test_equal_firm_systems_share_one_test():
     fs1, _ = coalition_system(3)
-    fs2, _ = coalition_system(3)
+    assert coalition_system(3)[0] is fs1
+    fs2 = FirmSystem(firms=fs1.firms, resource=fs1.resource)
     assert fs1 is not fs2
     assert balance_test(fs1, "cone") is balance_test(fs2, "cone")
     assert balance_test(fs1) is balance_test(fs2, mode="cone")
     assert balance_test(fs1, "convex") is balance_test(fs2, "convex")
     assert balance_test(fs1, "convex") is not balance_test(fs1, "cone")
+
+
+def test_tests_live_as_long_as_their_systems():
+    # the registry that lends tests to equal systems holds none alive
+    fs = FirmSystem(firms=((7, 1), (1, 7)), resource=(8, 8))
+    key = (fs.firms, fs.resource)
+    test = balance_test(fs)
+    assert test.minimal() == ((0, 1),) and balance._live[key] is fs
+    twin = FirmSystem(firms=((7, 1), (1, 7)), resource=(8, 8))
+    assert balance_test(twin) is test and twin._tests is fs._tests
+    system = weakref.ref(fs)
+    del fs, test, twin
+    gc.collect()
+    assert system() is None and key not in balance._live
+    fresh = FirmSystem(firms=((7, 1), (1, 7)), resource=(8, 8))
+    assert balance._live.get(key) is None
+    assert balance_test(fresh).fs is fresh
 
 
 def test_balance_test_rejects_bad_mode_and_members():

@@ -414,8 +414,11 @@ def test_distinguished_firm_required(capsys, command):
         ("validate", "example2.json", "dimension", 4, "$.dimension"),
         ("hopf", "sphere-asset.json", "facets", [[]], "$.facets: empty facet"),
         ("hopf", "sphere-asset.json", "facets", [[0, 1, 2, 99]], "$.facets: facet"),
+        ("validate", "example2.json", "firms", 5, "$.firms: expected a list"),
+        ("hopf", "sphere-asset.json", "orientation", [1], "$.orientation: one sign per facet"),
+        ("degree", "sphere-asset.json", "orientation", [1], "$.orientation: one sign per facet"),
         # no path of its own: the catch-all of a document's reading
-        ("validate", "example2.json", "firms", 5, "$: 'int' object is not iterable"),
+        ("validate", "example2.json", "utilities", "x", "$: string indices must be integers"),
     ],
 )
 def test_malformed_field(capsys, tmp_path, command, data, field, value, path):

@@ -1,4 +1,5 @@
 import random
+from weakref import WeakValueDictionary
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +30,7 @@ from fraccore.game_model import (
     Primitive,
     TUGame,
     coalition_cylinder,
+    coalition_firm_system,
     coalitions,
     contains,
     point_orthant,
@@ -437,12 +439,23 @@ def test_nonzero_region_degree_implies_nonempty():
 def _closure_fractional_core(game):
     """fractional_core_solve as a loop over the full balanced closure."""
     from fraccore.balance import balanced_subsets
-    from fraccore.frac_core import _Budget, _forced_rows, _search, _violation, make_witness
+    from fraccore.frac_core import (
+        _Budget,
+        _escape_rows,
+        _forced_rows,
+        _lp_rows,
+        _search,
+        _violation,
+        make_witness,
+    )
 
     budget = _Budget(10**6)
+    membership, scale = _lp_rows(game.utilities)
+    escapes = _escape_rows(membership)
     for subset in balanced_subsets(game.firm_system, "cone"):
-        rows = _forced_rows(game.utilities, subset)
-        found = _search(game.dim, rows, _violation(game.utilities, subset), budget)
+        rows = _forced_rows(membership, escapes, subset)
+        violation = _violation(game.utilities, membership, escapes, subset)
+        found = _search(game.dim, rows, scale, violation, budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -533,7 +546,9 @@ def test_witness_reads_the_weights_of_the_deciding_elimination(monkeypatch):
 
     monkeypatch.setattr(balance, "balancing_weights", spy_lp)
     monkeypatch.setattr(balance.BalanceTest, "_eliminate", spy_eliminate)
-    balance._cached_test.cache_clear()
+    # the games get new firm systems, and no live system lends them tests
+    coalition_firm_system.cache_clear()
+    monkeypatch.setattr(balance, "_live", WeakValueDictionary())
     for game in (embed_coalitional(loss_sharing_tu_modified()), symmetric_pairs_game_s1()):
         solved.clear()
         res = fractional_core_solve(game)
@@ -677,15 +692,15 @@ def test_search_depth_within_primitives_plus_members(monkeypatch):
     state = {"primitives": 0, "bound": 0, "depth": 0}
     nodes = []  # (branchings above a node, #primitives + #members)
 
-    def recording_violation(utilities, members):
+    def recording_violation(utilities, membership, escapes, members):
         state["bound"] = state["primitives"] + len(members)
-        return violation(utilities, members)
+        return violation(utilities, membership, escapes, members)
 
-    def recording_search(n, rows, check, budget):
+    def recording_search(n, rows, scale, check, budget):
         nodes.append((state["depth"], state["bound"]))
         state["depth"] += 1
         try:
-            return search(n, rows, check, budget)
+            return search(n, rows, scale, check, budget)
         finally:
             state["depth"] -= 1
 
@@ -789,3 +804,104 @@ def test_scarf_on_embedded_ntu_games(rng):
         core = core_solve(game)
         assert isinstance(core, CorePoint)
         assert _core_point_ok(game, core.point)
+
+
+# ---------------------------------------------------------------------------
+# integer LP rows over one common scale, and balance tests kept on systems
+# ---------------------------------------------------------------------------
+
+
+def _rational_game(rng):
+    """A small game whose half-spaces have various denominators, so its
+    LP rows share a common scale above 1; single half-spaces over a few
+    coordinates leave directions unbounded, which ``is_balanced_game``
+    follows along a ray."""
+    n = rng.randint(2, 3)
+
+    def q(lo, hi):
+        return Q(rng.randint(lo, hi), rng.randint(1, 4))
+
+    utilities = []
+    for _ in range(rng.randint(2, 4)):
+        prims = []
+        for _ in range(rng.randint(1, 2)):
+            halfspaces = []
+            for _ in range(rng.randint(1, 2)):
+                normal = [q(0, 3) if rng.random() < 0.6 else Q(0) for _ in range(n)]
+                if not any(normal):
+                    normal[rng.randrange(n)] = q(1, 3)
+                halfspaces.append(HalfSpace(tuple(normal), q(-3, 3)))
+            prims.append(Primitive(tuple(halfspaces)))
+        utilities.append(ComprehensiveSet(tuple(prims)))
+    firms = [tuple(q(0, 2) for _ in range(n)) for _ in utilities]
+    firms = [v if any(v) else (Q(1),) * n for v in firms]
+    resource = tuple(sum(col, Q(0)) for col in zip(*firms))
+    fs = FirmSystem(firms=firms, resource=resource)
+    return GeneralizedGame(tuple(utilities), fs, distinguished=rng.randrange(len(firms)))
+
+
+def _rational_rows(utilities):
+    """The search's LP rows as the half-spaces' rationals, scale 1: each
+    LP then clears its own denominators, as the search did before it read
+    the integer rows."""
+    rows = [[tuple((h.normal, h.offset) for h in p.halfspaces) for p in u.primitives]
+            for u in utilities]
+    return rows, 1
+
+
+def test_integer_rows_give_the_rational_rows_results(monkeypatch):
+    from fraccore import frac_core
+
+    rng = random.Random(20261)
+    games = [_rational_game(rng) for _ in range(60)]
+    assert all(frac_core._lp_rows(g.utilities)[1] > 1 for g in games)
+
+    def solve_all():
+        return [(fractional_core_solve(g), core_solve(g), is_balanced_game(g)) for g in games]
+
+    results = solve_all()
+    monkeypatch.setattr(frac_core, "_lp_rows", _rational_rows)
+    assert results == solve_all()
+    kinds = {type(r).__name__ for triple in results for r in triple}
+    assert kinds >= {"Nonempty", "Empty", "CorePoint", "BalancedGame", "ViolatedGame"}
+
+
+def test_game_rows_share_one_scale():
+    from fraccore.frac_core import _escape_rows, _lp_rows
+
+    h = HalfSpace((Q(1, 2), Q(1, 3)), Q(5, 6))
+    k = HalfSpace((1, 0), 2)
+    rows, scale = _lp_rows((ComprehensiveSet((Primitive((h, k)),)),))
+    assert scale == 6 and rows == [[(((3, 2), 5), ((6, 0), 12))]]
+    assert _escape_rows(rows) == [[(((-3, -2), -5), ((-6, 0), -12))]]
+    # integer data: scale 1, and each row is the half-space's own
+    rows, scale = _lp_rows((ComprehensiveSet((Primitive((k,)),)),))
+    assert scale == 1 and rows[0][0][0][0] is k.row[0]
+
+
+def test_second_pass_over_many_firm_systems_runs_no_elimination(monkeypatch):
+    # each firm system keeps its own tests: no bound on their number
+    # evicts an antichain, so a second pass over 80 systems derives none
+    from fraccore import balance
+
+    games = [
+        GeneralizedGame(
+            (ComprehensiveSet((point_orthant((0, 1)),)), ComprehensiveSet((point_orthant((1, 0)),))),
+            FirmSystem(firms=((1, k), (k, 1)), resource=(k + 1, k + 1)),
+        )
+        for k in range(2, 82)
+    ]
+    eliminated = []
+    original = balance.BalanceTest._eliminate
+
+    def spy(self, members):
+        eliminated.append(members)
+        return original(self, members)
+
+    monkeypatch.setattr(balance.BalanceTest, "_eliminate", spy)
+    monkeypatch.setattr(balance, "_live", WeakValueDictionary())
+    first = [fractional_core_solve(g) for g in games]
+    assert len(eliminated) >= len(games)
+    eliminated.clear()
+    assert [fractional_core_solve(g) for g in games] == first
+    assert eliminated == []
