@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 from itertools import combinations
 
@@ -405,6 +407,40 @@ def test_tests_live_as_long_as_their_systems():
     fresh = FirmSystem(firms=((7, 1), (1, 7)), resource=(8, 8))
     assert balance._live.get(key) is None
     assert balance_test(fresh).fs is fresh
+
+
+def test_first_uses_racing_in_threads_agree():
+    # threads that take up equal new systems at once may make two tests;
+    # every test answers from the same value (the coalition system tripled,
+    # which no other test uses, balances the coalition system's sets)
+    fs = coalition_firm_system(3)
+    expected = BalanceTest(fs, "cone").minimal()
+    results, errors = [], []
+
+    def work():
+        try:
+            twin = FirmSystem(
+                firms=[tuple(3 * x for x in v) for v in fs.firms],
+                resource=tuple(3 * x for x in fs.resource),
+            )
+            test = balance_test(twin, "convex")
+            results.append((test.minimal(), balance_test(twin).minimal()))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    convex = BalanceTest(fs, "convex").minimal()
+    assert results == [(convex, expected)] * 8
 
 
 def test_balance_test_rejects_bad_mode_and_members():
