@@ -209,18 +209,21 @@ def _lp_rows(utilities):
     half-spaces' scales.  A uniform positive factor changes no pivot, so
     every search LP pivots as it would over the rational rows; for integer
     data the scale is 1 and a row is the half-space's own."""
-    scale = lcm(*(s for u in utilities for p in u.primitives for *_, s in p.rows))
+    scale = lcm(*(h.scale for u in utilities for p in u.primitives for h in p.halfspaces))
     rows = [
         [
-            tuple(
-                (a, b) if s == scale else (tuple(x * (scale // s) for x in a), b * (scale // s))
-                for a, b, _, s in p.rows
-            )
+            tuple(h.row[:2] if h.scale == scale else _rescaled(h, scale) for h in p.halfspaces)
             for p in u.primitives
         ]
         for u in utilities
     ]
     return rows, scale
+
+
+def _rescaled(h, scale):
+    """The half-space's row (a, b) brought from its own scale to ``scale``."""
+    (a, b, _), m = h.row, scale // h.scale
+    return tuple(m * x for x in a), m * b
 
 
 def _escape_rows(membership):

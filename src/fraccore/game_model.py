@@ -8,9 +8,9 @@ and admits a closed form for the best uniform raise ("uplift") of a point,
 which keeps every membership and blocking decision exact.
 
 Each half-space also holds an integer row, computed once at construction:
-its normal and offset times the lcm of their denominators, the gauge (the
-sum of the scaled normal), which is positive, and that lcm, with which
-``frac_core`` brings a game's rows to one common scale.  Uplift and membership
+its normal and offset times the lcm of their denominators (its scale, which
+``frac_core`` reads to bring a game's rows to one common scale), and the
+gauge (the sum of the scaled normal), which is positive.  Uplift and membership
 scale the point once to integer numerators over one common denominator and
 then decide everything by integer comparisons and cross-multiplication, as
 the elimination kernel in ``linalg`` does.  ``tau`` and ``cover_labels``
@@ -51,13 +51,14 @@ def _scaled(x, dim):
 class HalfSpace:
     """{x : <normal, x> <= offset} with normal >= 0, normal != 0.
 
-    ``row`` is (a, b, g, s): the normal and offset scaled to integers by
-    s, the lcm of their denominators, and the gauge g = sum(a) > 0.  It is
-    derived data, so equality, hashing and repr ignore it."""
+    ``row`` is (a, b, g): the normal and offset scaled to integers by
+    ``scale``, the lcm of their denominators, and the gauge g = sum(a) > 0.
+    Both are derived data, so equality, hashing and repr ignore them."""
 
     normal: tuple
     offset: "Q"
     row: tuple = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normal", vec(self.normal))
@@ -67,7 +68,8 @@ class HalfSpace:
             raise ValueError("half-space normal must be componentwise nonnegative")
         if not any(a):
             raise ValueError("half-space normal must be nonzero")
-        object.__setattr__(self, "row", (tuple(a), b, sum(a), s))
+        object.__setattr__(self, "row", (tuple(a), b, sum(a)))
+        object.__setattr__(self, "scale", s)
 
     @property
     def dim(self) -> int:
@@ -107,14 +109,14 @@ class Primitive:
 
     def _holds(self, p, d) -> bool:
         """Membership of the point p / d (p integer, d > 0)."""
-        return all(sum(map(mul, a, p)) <= b * d for a, b, _, _ in self.rows)
+        return all(sum(map(mul, a, p)) <= b * d for a, b, _ in self.rows)
 
     def _slack(self, p, d) -> tuple:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
         d > 0): the least of the rows' (b*d - <a, p>) / g, found by
         cross-multiplying, since every g is positive."""
         best = None
-        for a, b, g, _ in self.rows:
+        for a, b, g in self.rows:
             s = b * d - sum(map(mul, a, p))
             if best is None or s * best[1] < best[0] * g:
                 best = (s, g)

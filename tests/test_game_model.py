@@ -548,9 +548,11 @@ def test_integer_rows_match_the_rational_closed_forms(case):
 
 def test_equal_integer_rows_do_not_make_half_spaces_equal():
     h, k = HalfSpace((Q(1, 2), 1), Q(3, 2)), HalfSpace((1, 2), 3)
-    assert h.row[:3] == k.row[:3] and h != k
+    assert h.row == k.row and h != k
+    assert (h.scale, k.scale) == (2, 1)
     assert Primitive((h,)) != Primitive((k,))
     assert "row" not in repr(h) and "rows" not in repr(Primitive((h,)))
+    assert "scale" not in repr(h)
 
 
 @given(halfspaces(2), halfspaces(2))
