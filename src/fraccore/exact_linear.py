@@ -15,12 +15,10 @@ integer over one shared denominator, the basis determinant.  The update
 (``_eliminate``) and the integer scaling (``_clear_denominators``) are the
 ones ``linalg`` reduces its matrices with: the package has one exact
 elimination kernel.  Positive scaling changes no sign and no ratio, so the
-pivots are those of the same simplex over rationals.  A row given as ints
-is kept as it is, so a caller with integer rows (the certificate search of
-``frac_core``) builds no rational for them; its ``scale`` names the common
-factor those rows were scaled by, which the slack columns take too.
-Rationals appear only when reading other input and when building the
-returned value, witness, ray and reduced costs.  An optimum reports each
+pivots are those of the same simplex over rationals.  Rows given as ints
+(the certificate search's) are kept as they are.  Rationals appear only
+when reading other input and when building the returned value, witness,
+ray and reduced costs.  An optimum reports each
 variable's reduced cost c_B B^-1 A_j - c_j off the final objective row;
 where column j is the unit vector e_i, c_j plus that cost is the optimal
 dual value of row i.

@@ -15,12 +15,9 @@ above 0) or member missing the point (uplift below 0) gives the children;
 a point with neither is a witness.  A core is searched the same way, with
 the distinguished firm as the only member.
 
-The LP rows are integers: each solve reads the half-spaces' integer rows,
-brings them to one common scale for the game (the lcm of their scales,
-which is 1 for integer data) and negates the escape rows once.  Every LP
-then gets its rows times that one factor, and passes it as the system's
-``scale``, so it pivots, and returns witnesses and rays, exactly as over
-the rational rows.
+Each solve brings the half-spaces' integer rows to one common scale for
+the game and negates the escape rows once; every LP it runs takes those
+integer rows with that scale.
 
 Everything is deterministic: subsets in (size, lex) order, primitives and
 half-spaces in construction order.
@@ -205,10 +202,9 @@ class _Budget:
 
 def _lp_rows(utilities):
     """(rows, scale): each primitive's membership rows <a, x> <= b, per
-    utility set, as integer LP rows over one common scale, the lcm of the
-    half-spaces' scales.  A uniform positive factor changes no pivot, so
-    every search LP pivots as it would over the rational rows; for integer
-    data the scale is 1 and a row is the half-space's own."""
+    utility set, as integers over the lcm of the half-spaces' scales (1 for
+    integer data, which keeps each half-space's own row).  One factor for
+    every row changes no pivot, so each LP pivots as over the rationals."""
     scale = lcm(*(h.scale for u in utilities for p in u.primitives for h in p.halfspaces))
     rows = [
         [
