@@ -16,12 +16,13 @@ integer over one shared denominator, the basis determinant.  The update
 ones ``linalg`` reduces its matrices with: the package has one exact
 elimination kernel.  Positive scaling changes no sign and no ratio, so the
 pivots are those of the same simplex over rationals.  Rows given as ints
-(the certificate search's) are kept as they are.  Rationals appear only
-when reading other input and when building the returned value, witness,
-ray and reduced costs.  An optimum reports each
-variable's reduced cost c_B B^-1 A_j - c_j off the final objective row;
-where column j is the unit vector e_i, c_j plus that cost is the optimal
-dual value of row i.
+(the certificate search's rows of integer half-spaces) are kept as they
+are; other rows are read as rationals, and a system mixing both clears
+them all by one common factor.  Rationals otherwise appear only when
+building the returned value, witness, ray and reduced costs.  An optimum
+reports each variable's reduced cost c_B B^-1 A_j - c_j off the final
+objective row; where column j is the unit vector e_i, c_j plus that cost
+is the optimal dual value of row i.
 
 Phase 1 never reads the objective, so it is a property of the system: each
 ``LinearSystem`` scales its rows to integers and runs phase 1 once, on its
@@ -58,12 +59,6 @@ class LinearSystem:
     is true; a sign constraint declared this way costs no row.  A row of
     ints is kept as given, any other is coerced to rationals.
 
-    ``scale`` is the positive factor by which every row was multiplied
-    before it was given: integer rows made from rational ones by one common
-    factor pass that factor.  The standard form scales each slack column
-    with its row, so a ray has the length it has over the rational rows;
-    no feasible set, pivot, witness or value depends on it.
-
     ``_start`` is the system's phase-1 outcome over its integer standard
     form, computed on its first solve and kept: phase 1 runs once per
     system, however many objectives it is solved for.  It is derived data,
@@ -75,7 +70,6 @@ class LinearSystem:
     leq: tuple = ()
     lt: tuple = ()
     nonneg: bool = False
-    scale: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "equalities", tuple(_row(*r) for r in self.equalities))
@@ -85,8 +79,6 @@ class LinearSystem:
             raise MalformedSystem("negative variable count")
         if type(self.nonneg) is not bool:
             raise MalformedSystem(f"nonneg must be a bool, not {self.nonneg!r}")
-        if type(self.scale) is not int or self.scale < 1:
-            raise MalformedSystem(f"scale must be a positive int, not {self.scale!r}")
         for a, _ in self.equalities + self.leq + self.lt:
             if len(a) != self.num_vars:
                 raise MalformedSystem(
@@ -271,13 +263,11 @@ def _solve_standard(start, c):
 
 def _standard_rows(sys):
     """Split x into u - w unless ``nonneg``, add one slack per inequality
-    and scale every row to integers by one common factor, each slack with
-    its row.  Returns the integer rows, right-hand sides and column
-    count."""
+    and scale every row to integers by one common factor.  Returns the
+    integer rows, right-hand sides and column count."""
     rows = sys.equalities + sys.leq
     width = sys.num_vars + 1
     flat, scale = _clear_denominators([x for a, rhs in rows for x in (*a, rhs)])
-    scale *= sys.scale
     neq = len(sys.equalities)
     nslack = len(sys.leq)
     a_rows = []

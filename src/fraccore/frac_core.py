@@ -15,9 +15,9 @@ above 0) or member missing the point (uplift below 0) gives the children;
 a point with neither is a witness.  A core is searched the same way, with
 the distinguished firm as the only member.
 
-Each solve brings the half-spaces' integer rows to one common scale for
-the game and negates the escape rows once; every LP it runs takes those
-integer rows with that scale.
+Each solve builds its LP rows once: an integer half-space's own integer
+row, any other half-space's rationals, and the escape rows as those rows
+negated.
 
 Everything is deterministic: subsets in (size, lex) order, primitives and
 half-spaces in construction order.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from math import lcm
 from operator import neg
 
 from .balance import DEFAULT_FIRM_CAP as DEFAULT_SUBSET_CAP
@@ -201,25 +200,16 @@ class _Budget:
 
 
 def _lp_rows(utilities):
-    """(rows, scale): each primitive's membership rows <a, x> <= b, per
-    utility set, as integers over the lcm of the half-spaces' scales (1 for
-    integer data, which keeps each half-space's own row).  One factor for
-    every row changes no pivot, so each LP pivots as over the rationals."""
-    scale = lcm(*(h.scale for u in utilities for p in u.primitives for h in p.halfspaces))
-    rows = [
+    """Each primitive's membership rows <a, x> <= b, per utility set: the
+    half-space's integer row when its data are integers, else its
+    rationals, which each LP clears with the rest of its rows."""
+    return [
         [
-            tuple(h.row[:2] if h.scale == scale else _rescaled(h, scale) for h in p.halfspaces)
+            tuple(h.row[:2] if h.scale == 1 else (h.normal, h.offset) for h in p.halfspaces)
             for p in u.primitives
         ]
         for u in utilities
     ]
-    return rows, scale
-
-
-def _rescaled(h, scale):
-    """The half-space's row (a, b) brought from its own scale to ``scale``."""
-    (a, b, _), m = h.row, scale // h.scale
-    return tuple(m * x for x in a), m * b
 
 
 def _escape_rows(membership):
@@ -261,25 +251,24 @@ def _violation(utilities, membership, escapes, members):
     return violation
 
 
-def _search(n, rows, scale, violation, budget):
+def _search(n, rows, violation, budget):
     """Depth-first branching on violated conditions: one LP per node, which
-    maximizes the total payoff over its rows (given times ``scale``);
-    infeasible rows prune, a point that passes ``violation`` is returned,
-    and otherwise there is one child per option of the violated condition.
-    Every admissible point of the node satisfies that condition, so it lies
-    in a child and the search is complete.  A condition branched on holds
-    everywhere below, so none repeats on a path: a path branches at most
-    #primitives + #members times.
+    maximizes the total payoff over its rows; infeasible rows prune, a point
+    that passes ``violation`` is returned, and otherwise there is one child
+    per option of the violated condition.  Every admissible point of the
+    node satisfies that condition, so it lies in a child and the search is
+    complete.  A condition branched on holds everywhere below, so none
+    repeats on a path: a path branches at most #primitives + #members times.
     """
     budget.spend()
-    res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows), scale=scale))
+    res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows)))
     if isinstance(res, Infeasible):
         return None
     options = violation(res.witness)
     if options is None:
         return res.witness
     for option in options:
-        found = _search(n, rows + option, scale, violation, budget)
+        found = _search(n, rows + option, violation, budget)
         if found is not None:
             return found
     return None
@@ -301,12 +290,12 @@ def fractional_core_solve(
     """
     n = game.dim
     budget = _Budget(node_cap)
-    membership, scale = _lp_rows(game.utilities)
+    membership = _lp_rows(game.utilities)
     escapes = _escape_rows(membership)
     for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
         rows = _forced_rows(membership, escapes, subset)
         violation = _violation(game.utilities, membership, escapes, subset)
-        found = _search(n, rows, scale, violation, budget)
+        found = _search(n, rows, violation, budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -324,11 +313,11 @@ def core_solve(game: GeneralizedGame, node_cap: int = DEFAULT_NODE_CAP):
     if game.distinguished is None:
         raise ValueError("core_solve needs a distinguished firm")
     dist = (game.distinguished,)
-    membership, scale = _lp_rows(game.utilities)
+    membership = _lp_rows(game.utilities)
     escapes = _escape_rows(membership)
     rows = _forced_rows(membership, escapes, dist)
     violation = _violation(game.utilities, membership, escapes, dist)
-    found = _search(game.dim, rows, scale, violation, _Budget(node_cap))
+    found = _search(game.dim, rows, violation, _Budget(node_cap))
     return Empty() if found is None else CorePoint(vec(found))
 
 
@@ -353,12 +342,12 @@ def is_balanced_game(
         return Unsupported("distinguished utility set must be a single primitive")
     target_rows = target.primitives[0].halfspaces
     n = game.dim
-    membership, scale = _lp_rows(game.utilities)
+    membership = _lp_rows(game.utilities)
     for subset in minimal_balanced_subsets(game.firm_system, "cone", subset_cap):
         if dist in subset:
             continue  # the intersection then lies inside the target trivially
         for choice in product(*(membership[i] for i in subset)):
-            sys = LinearSystem(n, leq=tuple(chain.from_iterable(choice)), scale=scale)
+            sys = LinearSystem(n, leq=tuple(chain.from_iterable(choice)))
             for h in target_rows:
                 res = maximize(h.normal, sys)
                 if isinstance(res, Optimal):

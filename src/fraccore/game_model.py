@@ -8,8 +8,8 @@ and admits a closed form for the best uniform raise ("uplift") of a point,
 which keeps every membership and blocking decision exact.
 
 Each half-space also holds an integer row, computed once at construction:
-its normal and offset times the lcm of their denominators (its scale, which
-``frac_core`` reads to bring a game's rows to one common scale), and the
+its normal and offset times the lcm of their denominators (its scale;
+``frac_core`` passes the row to its LPs when the scale is 1), and the
 gauge (the sum of the scaled normal), which is positive.  Uplift and membership
 scale the point once to integer numerators over one common denominator and
 then decide everything by integer comparisons and cross-multiplication, as

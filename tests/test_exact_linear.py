@@ -1,5 +1,4 @@
 import random
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -251,19 +250,24 @@ def test_maximize_matches_reference(data):
     _assert_same(maximize(objective, sys), reference_maximize(objective, sys))
 
 
-@given(random_systems(), st.integers(min_value=1, max_value=6))
+@given(random_systems())
 @settings(max_examples=200, deadline=None)
-def test_integer_rows_over_a_scale_match_rational_rows(data, factor):
-    # the rows times one common factor, as ints, with that factor as
-    # ``scale``: the same result, ray and reduced costs as the rationals
+def test_integer_rows_among_rational_rows_match_rational_rows(data):
+    # each row with integer data given as ints, the rest as rationals, as
+    # the certificate search gives them: the result, ray and reduced costs
+    # of the all-rational system
     objective, n, eqs, leq, _ = data
-    scale = factor * lcm(1, *(x.denominator for a, b in eqs + leq for x in (*a, b)))
 
     def ints(rows):
-        return tuple((tuple(int(x * scale) for x in a), int(b * scale)) for a, b in rows)
+        return tuple(
+            (tuple(int(x) for x in a), int(b))
+            if all(x.denominator == 1 for x in (*a, b))
+            else (a, b)
+            for a, b in rows
+        )
 
     ref = maximize(objective, LinearSystem(n, equalities=eqs, leq=leq))
-    res = maximize(objective, LinearSystem(n, equalities=ints(eqs), leq=ints(leq), scale=scale))
+    res = maximize(objective, LinearSystem(n, equalities=ints(eqs), leq=ints(leq)))
     _assert_same(res, ref)
     if isinstance(res, Optimal):
         assert res.reduced_costs == ref.reduced_costs
@@ -277,12 +281,6 @@ def test_integer_rows_are_kept_as_given():
     mixed = LinearSystem(2, leq=(((1, Q(2)), 3),))
     assert all(type(x) is Q for x in mixed.leq[0][0])
     assert ints.leq == mixed.leq and hash(ints.leq) == hash(mixed.leq)
-
-
-@pytest.mark.parametrize("scale", [0, -2, True, 1.5, "2", Q(2)])
-def test_scale_must_be_a_positive_int(scale):
-    with pytest.raises(MalformedSystem):
-        LinearSystem(1, leq=[((1,), 1)], scale=scale)
 
 
 @given(random_systems())

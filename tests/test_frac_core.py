@@ -450,12 +450,12 @@ def _closure_fractional_core(game):
     )
 
     budget = _Budget(10**6)
-    membership, scale = _lp_rows(game.utilities)
+    membership = _lp_rows(game.utilities)
     escapes = _escape_rows(membership)
     for subset in balanced_subsets(game.firm_system, "cone"):
         rows = _forced_rows(membership, escapes, subset)
         violation = _violation(game.utilities, membership, escapes, subset)
-        found = _search(game.dim, rows, scale, violation, budget)
+        found = _search(game.dim, rows, violation, budget)
         if found is not None:
             return Nonempty(make_witness(game, found, subset))
     return Empty()
@@ -696,11 +696,11 @@ def test_search_depth_within_primitives_plus_members(monkeypatch):
         state["bound"] = state["primitives"] + len(members)
         return violation(utilities, membership, escapes, members)
 
-    def recording_search(n, rows, scale, check, budget):
+    def recording_search(n, rows, check, budget):
         nodes.append((state["depth"], state["bound"]))
         state["depth"] += 1
         try:
-            return search(n, rows, scale, check, budget)
+            return search(n, rows, check, budget)
         finally:
             state["depth"] -= 1
 
@@ -807,13 +807,13 @@ def test_scarf_on_embedded_ntu_games(rng):
 
 
 # ---------------------------------------------------------------------------
-# integer LP rows over one common scale, and balance tests kept on systems
+# integer LP rows beside rational ones, and balance tests kept on systems
 # ---------------------------------------------------------------------------
 
 
 def _rational_game(rng):
     """A small game whose half-spaces have various denominators, so its
-    LP rows share a common scale above 1; single half-spaces over a few
+    LPs mix rational rows with integer ones; single half-spaces over a few
     coordinates leave directions unbounded, which ``is_balanced_game``
     follows along a ray."""
     n = rng.randint(2, 3)
@@ -841,12 +841,10 @@ def _rational_game(rng):
 
 
 def _rational_rows(utilities):
-    """The search's LP rows as the half-spaces' rationals, scale 1: each
-    LP then clears its own denominators, as the search did before it read
-    the integer rows."""
-    rows = [[tuple((h.normal, h.offset) for h in p.halfspaces) for p in u.primitives]
+    """The search's LP rows as the half-spaces' rationals, as the search
+    built them before it read the integer rows."""
+    return [[tuple((h.normal, h.offset) for h in p.halfspaces) for p in u.primitives]
             for u in utilities]
-    return rows, 1
 
 
 def test_integer_rows_give_the_rational_rows_results(monkeypatch):
@@ -854,7 +852,10 @@ def test_integer_rows_give_the_rational_rows_results(monkeypatch):
 
     rng = random.Random(20261)
     games = [_rational_game(rng) for _ in range(60)]
-    assert all(frac_core._lp_rows(g.utilities)[1] > 1 for g in games)
+    assert all(
+        any(h.scale > 1 for u in g.utilities for p in u.primitives for h in p.halfspaces)
+        for g in games
+    )
 
     def solve_all():
         return [(fractional_core_solve(g), core_solve(g), is_balanced_game(g)) for g in games]
@@ -866,17 +867,16 @@ def test_integer_rows_give_the_rational_rows_results(monkeypatch):
     assert kinds >= {"Nonempty", "Empty", "CorePoint", "BalancedGame", "ViolatedGame"}
 
 
-def test_game_rows_share_one_scale():
+def test_lp_rows_keep_integer_rows():
     from fraccore.frac_core import _escape_rows, _lp_rows
 
     h = HalfSpace((Q(1, 2), Q(1, 3)), Q(5, 6))
     k = HalfSpace((1, 0), 2)
-    rows, scale = _lp_rows((ComprehensiveSet((Primitive((h, k)),)),))
-    assert scale == 6 and rows == [[(((3, 2), 5), ((6, 0), 12))]]
-    assert _escape_rows(rows) == [[(((-3, -2), -5), ((-6, 0), -12))]]
-    # integer data: scale 1, and each row is the half-space's own
-    rows, scale = _lp_rows((ComprehensiveSet((Primitive((k,)),)),))
-    assert scale == 1 and rows[0][0][0][0] is k.row[0]
+    rows = _lp_rows((ComprehensiveSet((Primitive((h, k)),)),))
+    assert rows == [[((h.normal, h.offset), ((1, 0), 2))]]
+    # an integer half-space gives its own row; a rational one its rationals
+    assert rows[0][0][1][0] is k.row[0] and rows[0][0][0][0] is h.normal
+    assert _escape_rows(rows) == [[(((Q(-1, 2), Q(-1, 3)), Q(-5, 6)), ((-1, 0), -2))]]
 
 
 def test_second_pass_over_many_firm_systems_runs_no_elimination(monkeypatch):
