@@ -14,7 +14,7 @@ import sys
 import time
 from importlib import resources
 
-from . import balance, frac_core, gallery, tu_solver
+from . import balance, formats, frac_core, gallery, tu_solver
 from .errors import CapExceeded, FraccoreError
 from .formats import (
     MalformedInput,
@@ -30,7 +30,7 @@ from .formats import (
     tu_from_json,
 )
 from .game_model import FirmSystem, coalition_firm_system, validate_game
-from .rationals import rat, rat_json
+from .rationals import rat_json
 from .topology import degree as topo_degree
 from .topology import index as topo_index
 from .topology.hopf import hopf_invariant
@@ -289,15 +289,9 @@ def _cmd_induce_cover(args):
         )
     else:
         _require(args, "center")
-        try:
-            halfwidth = rat(args.halfwidth)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput(f"$.halfwidth: not a rational: {args.halfwidth!r}") from exc
+        halfwidth = formats._num(args.halfwidth, "$.halfwidth")
         center = _vector_arg(args.center, "center", game.dim)
-        try:
-            region = topo_degree.CubeRegion(center, halfwidth)
-        except ValueError as exc:
-            raise MalformedInput(f"$.halfwidth: {exc}") from exc
+        region = formats._built(topo_degree.CubeRegion, "$.halfwidth", center, halfwidth)
     try:
         lc = topo_degree.induce_labeling(game, region, args.depth)
     except ValueError as exc:

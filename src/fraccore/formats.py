@@ -3,13 +3,13 @@
 Rationals serialize as plain integers when integral and as "p/q" strings
 otherwise; serialization is canonical (sorted keys, two-space indent, one
 trailing newline) so parse/serialize round-trips are byte-identical.
+Readers reject a malformed field, or a model object it makes invalid, with
+MalformedInput naming its path, e.g. ``$.utilities[0].primitives``.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from contextlib import contextmanager
 from itertools import chain
 
 from .errors import DimensionMismatch
@@ -34,19 +34,46 @@ def serialize(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _name(path):
+    """A JSON path as text.  A path is a string or a (parent path, key)
+    pair, so that a reader formats it only when it rejects the field."""
+    if type(path) is str:
+        return path
+    parent, key = path
+    return f"{_name(parent)}[{key}]" if type(key) is int else f"{_name(parent)}.{key}"
+
+
+def _object(value, path="$"):
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{_name(path)}: expected an object")
+    return value
+
+
+def _field(obj, key, path="$"):
+    """``obj[key]``, where ``obj`` is the JSON object at ``path``."""
+    if key not in _object(obj, path):
+        raise MalformedInput(f"{_name((path, key))}: missing field")
+    return obj[key]
+
+
+def _list(value, path):
+    """The entries of the JSON list ``value`` at ``path``, each with its path."""
+    if not isinstance(value, list):
+        raise MalformedInput(f"{_name(path)}: expected a list")
+    return (((path, i), v) for i, v in enumerate(value))
+
+
 def _num(value, path):
     if type(value) is not bool:
         try:
             return rat(value)
         except (ValueError, TypeError, ZeroDivisionError):
             pass
-    raise MalformedInput(f"{path}: not a rational: {value!r}")
+    raise MalformedInput(f"{_name(path)}: not a rational: {value!r}")
 
 
 def _numvec(values, path):
-    if not isinstance(values, list):
-        raise MalformedInput(f"{path}: expected a list")
-    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return tuple(_num(v, vpath) for vpath, v in _list(values, path))
 
 
 def _ints(values, path):
@@ -58,7 +85,7 @@ def _ints(values, path):
 def _count(obj, key):
     """The positive JSON integer at ``obj[key]``; floats, strings and
     booleans are not integers."""
-    value = obj[key]
+    value = _field(obj, key)
     if type(value) is not int or value < 1:
         raise MalformedInput(f"$.{key}: not a positive integer: {value!r}")
     return value
@@ -74,47 +101,24 @@ def _int_lists(rows, path):
     raise MalformedInput(f"{path}: expected a list of lists of integers")
 
 
-@contextmanager
-def _reading():
-    """Report any error raised while a document is read as MalformedInput."""
-    try:
-        yield
-    except MalformedInput:
-        raise
-    except KeyError as exc:
-        raise MalformedInput(f"$: missing field {exc}") from exc
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError,
-            DimensionMismatch) as exc:
-        raise MalformedInput(f"$: {exc}") from exc
-
-
 def _built(make, path, *args):
     """``make(*args)``, reporting the model's rejection of them at ``path``."""
     try:
         return make(*args)
     except (ValueError, DimensionMismatch) as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
-
-
-def _object(obj):
-    if not isinstance(obj, dict):
-        raise MalformedInput("$: expected an object")
-    return obj
+        raise MalformedInput(f"{_name(path)}: {exc}") from exc
 
 
 def firm_system_from_json(obj) -> FirmSystem:
     """The firm system of a game, cover or firm-system document."""
-    with _reading():
-        resource = _numvec(_object(obj)["resource"], "$.resource")
-        if not isinstance(obj["firms"], list):
-            raise MalformedInput("$.firms: expected a list")
-        firms = [_numvec(v, f"$.firms[{i}]") for i, v in enumerate(obj["firms"])]
-        for i, v in enumerate(firms):
-            if len(v) != len(resource):
-                raise MalformedInput(
-                    f"$.firms[{i}]: {len(v)} entries, the resource has {len(resource)}"
-                )
-        return FirmSystem(firms=firms, resource=resource)
+    resource = _numvec(_field(obj, "resource"), "$.resource")
+    firms = [_numvec(v, path) for path, v in _list(_field(obj, "firms"), "$.firms")]
+    for i, v in enumerate(firms):
+        if len(v) != len(resource):
+            raise MalformedInput(
+                f"$.firms[{i}]: {len(v)} entries, the resource has {len(resource)}"
+            )
+    return FirmSystem(firms=firms, resource=resource)
 
 
 def game_to_json(game: GeneralizedGame) -> dict:
@@ -145,40 +149,36 @@ def game_to_json(game: GeneralizedGame) -> dict:
 
 
 def game_from_json(obj) -> GeneralizedGame:
-    with _reading():
-        utilities = []
-        for ui, uobj in enumerate(_object(obj)["utilities"]):
-            prims = []
-            for pi, pobj in enumerate(uobj["primitives"]):
-                ppath = f"$.utilities[{ui}].primitives[{pi}]"
-                hss = []
-                for hi, hobj in enumerate(pobj["halfspaces"]):
-                    path = f"{ppath}.halfspaces[{hi}]"
-                    a, b = _numvec(hobj["a"], path + ".a"), _num(hobj["b"], path + ".b")
-                    hss.append(_built(HalfSpace, path + ".a", a, b))
-                prims.append(_built(Primitive, ppath, tuple(hss)))
-            utilities.append(
-                _built(ComprehensiveSet, f"$.utilities[{ui}].primitives", tuple(prims))
-            )
-            if utilities[-1].dim != utilities[0].dim:
-                raise MalformedInput(
-                    f"$.utilities[{ui}]: dimension {utilities[-1].dim}, "
-                    f"utility 0 has {utilities[0].dim}"
-                )
-        if not utilities:
-            raise MalformedInput("$.utilities: expected at least one utility set")
-        fs = firm_system_from_json(obj)
-        distinguished = obj.get("distinguished")
-        if distinguished is not None and (
-            type(distinguished) is not int or not 0 <= distinguished < fs.count
-        ):
-            raise MalformedInput(f"$.distinguished: not a firm index: {distinguished!r}")
-        game = GeneralizedGame(tuple(utilities), fs, distinguished=distinguished)
-        if "dimension" in obj and _count(obj, "dimension") != game.dim:
+    utilities = []
+    for upath, uobj in _list(_field(obj, "utilities"), "$.utilities"):
+        prims = []
+        for ppath, pobj in _list(_field(uobj, "primitives", upath), (upath, "primitives")):
+            hss = []
+            for path, hobj in _list(_field(pobj, "halfspaces", ppath), (ppath, "halfspaces")):
+                a = _numvec(_field(hobj, "a", path), (path, "a"))
+                b = _num(_field(hobj, "b", path), (path, "b"))
+                hss.append(_built(HalfSpace, (path, "a"), a, b))
+            prims.append(_built(Primitive, ppath, tuple(hss)))
+        utilities.append(_built(ComprehensiveSet, (upath, "primitives"), tuple(prims)))
+        if utilities[-1].dim != utilities[0].dim:
             raise MalformedInput(
-                f"$.dimension: {obj['dimension']} but half-spaces have {game.dim}"
+                f"{_name(upath)}: dimension {utilities[-1].dim}, "
+                f"utility 0 has {utilities[0].dim}"
             )
-        return game
+    if not utilities:
+        raise MalformedInput("$.utilities: expected at least one utility set")
+    fs = firm_system_from_json(obj)
+    distinguished = obj.get("distinguished")
+    if distinguished is not None and (
+        type(distinguished) is not int or not 0 <= distinguished < fs.count
+    ):
+        raise MalformedInput(f"$.distinguished: not a firm index: {distinguished!r}")
+    game = _built(GeneralizedGame, "$.utilities", tuple(utilities), fs, distinguished)
+    if "dimension" in obj and _count(obj, "dimension") != game.dim:
+        raise MalformedInput(
+            f"$.dimension: {obj['dimension']} but half-spaces have {game.dim}"
+        )
+    return game
 
 
 def tu_to_json(game: TUGame) -> dict:
@@ -189,24 +189,28 @@ def tu_to_json(game: TUGame) -> dict:
     return {"schema": "fraccore.tu/1", "n": game.n, "values": values}
 
 
-_COALITION = re.compile("[1-9][0-9]*(,[1-9][0-9]*)*")
-
-
 def tu_from_json(obj) -> TUGame:
     """A ``values`` key names a new coalition: comma-separated canonical
     player numbers in 1..n, none repeated, in any order."""
-    with _reading():
-        n = _count(_object(obj), "n")
-        values = {}
-        for key, v in obj["values"].items():
-            path = f"$.values[{key!r}]"
-            coal = ()
-            if _COALITION.fullmatch(key):
-                coal = tuple(sorted({int(s) - 1 for s in key.split(",")}))
-            if len(coal) != key.count(",") + 1 or coal[-1] >= n or coal in values:
-                raise MalformedInput(f"{path}: not a new coalition of players 1..{n}")
-            values[coal] = _num(v, path)
-        return TUGame(n, values)
+    n = _count(obj, "n")
+    items = _object(_field(obj, "values"), "$.values").items()
+    # 2^n - 1 values need n <= the bit length of their count: a larger n
+    # is rejected before its players or 2^n are computed
+    if n > len(items).bit_length():
+        raise MalformedInput(f"$.values: {len(items)} of the 2^{n} - 1 coalitions")
+    players = {str(i + 1): i for i in range(n)}
+    values = {}
+    for key, v in items:
+        path = f"$.values[{key!r}]"
+        names = key.split(",")
+        coal = tuple(sorted({players[s] for s in names if s in players}))
+        if len(coal) != len(names) or coal in values:
+            raise MalformedInput(f"{path}: not a new coalition of players 1..{n}")
+        values[coal] = _num(v, path)
+    # the keys are distinct coalitions, so all are there when 2^n - 1 are
+    if len(values) != 2**n - 1:
+        raise MalformedInput(f"$.values: {len(values)} of the 2^{n} - 1 coalitions")
+    return _built(TUGame, "$.values", n, values)
 
 
 def cover_to_json(lc: LabeledCover) -> dict:
@@ -222,7 +226,7 @@ def cover_to_json(lc: LabeledCover) -> dict:
 
 
 def _complex(obj):
-    facets = _int_lists(_object(obj)["facets"], "$.facets")
+    facets = _int_lists(_field(obj, "facets"), "$.facets")
     return _built(SimplicialComplex, "$.facets", _count(obj, "vertices"), facets)
 
 
@@ -231,27 +235,26 @@ def _labels(labels):
 
 
 def cover_from_json(obj) -> LabeledCover:
-    with _reading():
-        K, orientation = _complex(obj), _ints(obj["orientation"], "$.orientation")
-        oc = _built(OrientedComplex, "$.orientation", K, orientation)
-        return LabeledCover(oc, _labels(obj["labels"]), firm_system_from_json(obj))
+    K, orientation = _complex(obj), _ints(_field(obj, "orientation"), "$.orientation")
+    oc = _built(OrientedComplex, "$.orientation", K, orientation)
+    labels = _labels(_field(obj, "labels"))
+    return _built(LabeledCover, "$.labels", oc, labels, firm_system_from_json(obj))
 
 
 def complex_from_json(obj):
-    with _reading():
-        K = _complex(obj)
-        orientation = obj.get("orientation")
-        if orientation is None:
-            oc = propagate_orientation(K)
-            if oc is None:
-                raise MalformedInput("$.orientation: missing and not derivable")
-        else:
-            orientation = _ints(orientation, "$.orientation")
-            oc = _built(OrientedComplex, "$.orientation", K, orientation)
-        labels = obj.get("labels")
-        if labels is not None:
-            labels = _labels(labels)
-        return oc, labels
+    K = _complex(obj)
+    orientation = obj.get("orientation")
+    if orientation is None:
+        oc = propagate_orientation(K)
+        if oc is None:
+            raise MalformedInput("$.orientation: missing and not derivable")
+    else:
+        orientation = _ints(orientation, "$.orientation")
+        oc = _built(OrientedComplex, "$.orientation", K, orientation)
+    labels = obj.get("labels")
+    if labels is not None:
+        labels = _labels(labels)
+    return oc, labels
 
 
 def point_from_json(obj, path="$.point"):

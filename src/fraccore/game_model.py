@@ -472,7 +472,7 @@ class TUGame:
         object.__setattr__(self, "values", MappingProxyType(fixed))
         missing = [c for c in coalitions(self.n) if c not in fixed]
         if missing:
-            raise ValueError(f"missing coalition values: {missing}")
+            raise ValueError(f"missing coalition values: {len(missing)}, the first {missing[0]}")
 
     def value(self, coal) -> "Q":
         return self.values[tuple(sorted(coal))]
@@ -505,7 +505,7 @@ class CoalitionalNTUGame:
         object.__setattr__(self, "sets", MappingProxyType(fixed))
         missing = [c for c in coalitions(self.n) if c not in fixed]
         if missing:
-            raise ValueError(f"missing coalition sets: {missing}")
+            raise ValueError(f"missing coalition sets: {len(missing)}, the first {missing[0]}")
 
     def bounded_above(self) -> bool:
         """Each V(S) cut to the nonnegative orthant must be bounded (by LP)."""

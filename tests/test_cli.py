@@ -327,6 +327,25 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
+TWO_BUBBLES = "two-bubble cover"
+DELETED = object()  # a mutation that deletes the field
+
+
+def _cover_doc():
+    return cover_to_json(gallery.two_bubble_cover(1, 1))
+
+
+def _mutate(doc, keys, value):
+    """Set the field at the path ``keys`` of ``doc`` to ``value``, or delete it."""
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    if value is DELETED:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
 def test_balance_firm_system_not_an_object(capsys, tmp_path):
     number = write_json(tmp_path, "number.json", 5)
     assert_malformed(capsys, ["balance", "enumerate", "--input", number], "$")
@@ -417,14 +436,40 @@ def test_distinguished_firm_required(capsys, command):
         ("validate", "example2.json", "firms", 5, "$.firms: expected a list"),
         ("hopf", "sphere-asset.json", "orientation", [1], "$.orientation: one sign per facet"),
         ("degree", "sphere-asset.json", "orientation", [1], "$.orientation: one sign per facet"),
-        # no path of its own: the catch-all of a document's reading
-        ("validate", "example2.json", "utilities", "x", "$: string indices must be integers"),
+        ("validate", "example2.json", "utilities", "x", "$.utilities: expected a list"),
+        # nested fields, dot-separated, and deleted ones
+        (
+            "validate",
+            "example2.json",
+            "utilities.0.primitives.0.halfspaces.0",
+            {},
+            "$.utilities[0].primitives[0].halfspaces[0].a: missing field",
+        ),
+        ("validate", "example2.json", "utilities.0", [], "$.utilities[0]: expected an object"),
+        ("validate", "example2.json", "utilities.0.primitives", 5, "$.utilities[0].primitives:"),
+        ("validate", "example2.json", "utilities", {"a": 1}, "$.utilities: expected a list"),
+        ("validate", "example2.json", "resource", DELETED, "$.resource: missing field"),
+        ("validate", "example2.json", "utilities.0", DELETED, "$.utilities: one utility set"),
+        ("tu-core", "example1.json", "n", DELETED, "$.n: missing field"),
+        ("tu-core", "example1.json", "values", [], "$.values: expected an object"),
+        ("tu-core", "example1.json", "values.1,2", DELETED, "$.values: 6 of the 2^3 - 1"),
+        ("hopf", "sphere-asset.json", "facets", DELETED, "$.facets: missing field"),
+        ("degree", TWO_BUBBLES, "labels.0", [9], "$.labels: label outside the firm range"),
     ],
 )
 def test_malformed_field(capsys, tmp_path, command, data, field, value, path):
-    doc = data_json(data)
-    doc[field] = value
+    doc = _cover_doc() if data == TWO_BUBBLES else data_json(data)
+    _mutate(doc, [int(k) if k.isdigit() else k for k in field.split(".")], value)
     assert_malformed(capsys, [command, write_json(tmp_path, "doc.json", doc)], path)
+
+
+def test_incomplete_tu_values_are_counted(capsys, tmp_path):
+    # a list of the missing coalitions doubles with each player, and a huge
+    # n must not compute 2^n
+    for n in (17, 10**30):
+        path = write_json(tmp_path, "tu.json", {"n": n, "values": {"1": 0}})
+        err = assert_malformed(capsys, ["tu-core", path], "$.values")
+        assert len(err) < 1000
 
 
 def test_hopf_needs_an_orientable_complex(capsys, tmp_path):
@@ -516,15 +561,16 @@ def test_repeated_json_key_in_an_argument(capsys):
     assert "repeated key 'a'" in err
 
 
+def test_tu_key_with_a_huge_player_number(capsys, tmp_path):
+    # not read by int(), which rejects a numeral of over 4,300 digits
+    doc = {"n": 1, "values": {"1" * 5000: 0}}
+    path = write_json(tmp_path, "tu.json", doc)
+    assert_malformed(capsys, ["tu-core", path], "$.values['11111")
+
+
 def test_tu_coalition_key_order_is_free():
     doc = {"schema": "fraccore.tu/1", "n": 2, "values": {"2": 0, "1": 0, "2,1": 1}}
     assert tu_from_json(doc).values == {(0,): 0, (1,): 0, (0, 1): 1}
-
-
-def _cover_doc():
-    from fraccore.gallery import two_bubble_cover
-
-    return cover_to_json(two_bubble_cover(1, 1))
 
 
 def _file_commands():
@@ -626,6 +672,84 @@ def test_fuzzed_files_exit_3_without_traceback(capsys, tmp_path, case):
     argv, doc = case
     path = write_json(tmp_path, "doc.json", doc)
     assert_malformed(capsys, [*argv, path], "$")
+
+
+def _fields(obj, path=()):
+    """Paths of the fields below the top level of a document, down to the
+    first three entries of every list."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj[:3])
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, (*path, key))
+
+
+def _json_path(keys):
+    return "$" + "".join(
+        f"[{k}]" if type(k) is int else f".{k}" if k.isidentifier() else f"[{k!r}]"
+        for k in keys
+    )
+
+
+MUTATED_DOCUMENTS = [
+    (argv, doc, sorted(_fields(doc), key=str))
+    for argv, doc in [
+        (["validate"], data_json("example2.json")),
+        (["tu-core"], data_json("example1.json")),
+        (["hopf"], data_json("sphere-asset.json")),
+        (["degree"], _cover_doc()),
+    ]
+]
+MUTANTS = (None, 0, -1, 1, 2.5, True, "x", "1/0", [], [[]], {}, [1], [0, 0], [[0]], [-1])
+
+# a reader compares these fields with other top-level fields, so a mutation
+# below the first path may be reported at one of the others
+COMPARED = {
+    ("utilities", 0): ("utilities",),  # each utility's dimension with utility 0's
+    ("firms",): ("utilities", "labels"),  # one utility set per firm; labels name firms
+    ("resource",): ("firms",),  # each firm's length with the resource's
+    ("n",): ("values",),  # coalitions of players 1..n, all 2^n - 1 of them
+    ("vertices",): ("facets", "labels"),  # facets' vertices; one label set per vertex
+    ("facets",): ("orientation",),  # one sign per facet
+}
+
+# Python exception text that a reader's own message never holds
+PYTHON_ERROR_TEXT = (
+    "object is not", "indices must be", "has no attribute", "not iterable", "missing field '"
+)
+
+
+@st.composite
+def one_field_mutations(draw):
+    """A command, the path of one field of its document, and the document
+    with that field replaced by a mutant or deleted."""
+    argv, doc, fields = draw(st.sampled_from(MUTATED_DOCUMENTS))
+    keys = draw(st.sampled_from(fields))
+    doc = json.loads(json.dumps(doc))
+    _mutate(doc, keys, draw(st.sampled_from((*MUTANTS, DELETED))))
+    return argv, keys, doc
+
+
+@given(one_field_mutations())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_one_field_mutation_names_its_field(capsys, tmp_path, case):
+    argv, keys, doc = case
+    code = main([*argv, write_json(tmp_path, "doc.json", doc)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        named = err.removeprefix("malformed input: ").split(": ")[0]
+        ancestors = {_json_path(keys[:i]) for i in range(1, len(keys) + 1)}
+        # a path inside the mutant names the mutated field too
+        allowed = [_json_path(keys) + "[", _json_path(keys) + "."]
+        for prefix, fields in COMPARED.items():
+            if keys[: len(prefix)] == prefix:
+                allowed += [_json_path((f,)) for f in fields]
+        assert named in ancestors or named.startswith(tuple(allowed)), (keys, err)
+        assert not any(text in err for text in PYTHON_ERROR_TEXT), err
 
 
 @pytest.mark.parametrize(

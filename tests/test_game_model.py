@@ -150,6 +150,17 @@ def _ntu_sets(grand):
         (lambda: tau([], (0,)), ValueError, "at least one utility set"),
         (lambda: comprehensive_hull([(0, 1), (1,)]), DimensionMismatch, "mixed dimension"),
         (lambda: dot((1, 2), (1,)), ValueError, "length mismatch"),
+        # how many are missing, and the first of them
+        (
+            lambda: TUGame(3, {(0,): 0, (2,): 0}),
+            ValueError,
+            r"^missing coalition values: 5, the first \(1,\)$",
+        ),
+        (
+            lambda: CoalitionalNTUGame(2, {(1,): orthant_set((0,))}),
+            ValueError,
+            r"^missing coalition sets: 2, the first \(0,\)$",
+        ),
     ],
 )
 def test_constructors_and_inputs_rejected(build, error, match):
