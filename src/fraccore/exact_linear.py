@@ -31,8 +31,7 @@ only its objective and runs phase 2 from the kept basis, on a shallow copy
 of the kept rows; no pivot changes a row in place, so the kept rows never
 change.  A system solved for many objectives pays for phase 1 once: the
 membership system of ``is_balanced_game`` under each target half-space,
-that of ``bounded_above`` under each coordinate, and the TU balancing
-system of one player count under every game's values.
+and the TU balancing system of one player count under every game's values.
 
 All functions are pure and safe to call concurrently: the kept outcome is
 a function of the system's value, so two threads that compute it at once

@@ -9,11 +9,12 @@ polyhedra: membership in one primitive per active firm and one reversed
 half-space per primitive anywhere.  The solver branches only on the
 condition its current point violates (Balas's disjunctive programming):
 each search node maximizes the total payoff over its rows with one LP,
-prunes when they are infeasible, and otherwise makes one pass over the
-firms' uplifts at the LP's point.  The first blocking primitive (uplift
-above 0) or member missing the point (uplift below 0) gives the children;
-a point with neither is a witness.  A core is searched the same way, with
-the distinguished firm as the only member.
+prunes when they are infeasible, and otherwise reads the signs of the
+firms' primitive slacks (``game_model``) at the LP's point, scaled once.
+The first blocking primitive (slack above 0) or member missing the point
+(every slack below 0) gives the children; a point with neither is a
+witness.  A core is searched the same way, with the distinguished firm as
+the only member.  The verifier reads one slack sign per set.
 
 Each solve builds its LP rows once: an integer half-space's own integer
 row, any other half-space's rationals, and the escape rows as those rows
@@ -40,12 +41,13 @@ from .game_model import (
     HalfSpace,
     Primitive,
     TUGame,
+    _scaled_for,
     coalition_cylinder,
     coalition_firm_system,
     coalitions,
-    contains,
     tau,
 )
+from .linalg import _clear_denominators
 from .rationals import ONE, ZERO, Q, vec
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -139,31 +141,24 @@ def embed_coalitional(game) -> GeneralizedGame:
 # ---------------------------------------------------------------------------
 
 
-def unblocked(game: GeneralizedGame, x) -> bool:
-    """No firm's utility set contains x in its interior."""
-    x = vec(x)
-    return all(u.uplift(x) <= ZERO for u in game.utilities)
-
-
 def verify_fractional_core_point(game: GeneralizedGame, x, active=None):
     """Check the definition directly; returns (ok, reason).
 
     With ``active`` given, membership is required for exactly that subset;
     otherwise the member set of x must support balancing weights.
     """
-    x = vec(x)
-    blocked = [i for i, u in enumerate(game.utilities) if u.uplift(x) > ZERO]
+    utilities, p, d = _scaled_for(game.utilities, x)
+    slacks = [u._slack(p, d)[0] for u in utilities]
+    blocked = [i for i, s in enumerate(slacks) if s > 0]
     if blocked:
         return False, f"blocked by firms {blocked}"
     if active is not None:
         members = tuple(sorted(active))
-        missing = [i for i in members if not contains(game.utilities[i], x)]
+        missing = [i for i in members if slacks[i] < 0]
         if missing:
             return False, f"point outside utility sets {missing}"
     else:
-        members = tuple(
-            i for i, u in enumerate(game.utilities) if contains(u, x)
-        )
+        members = tuple(i for i, s in enumerate(slacks) if s >= 0)
         if not members:
             return False, "point is in no utility set"
     if not balance_test(game.firm_system, "cone")(members):
@@ -234,17 +229,20 @@ def _forced_rows(membership, escapes, members):
 def _violation(utilities, membership, escapes, members):
     """The definition check of a search as ``violation(point)``: ``None``
     if the point passes, else the options of the first violated condition,
-    one escape row per half-space of a blocking primitive (uplift > 0), or
+    one escape row per half-space of a blocking primitive (slack > 0), or
     the membership rows of each primitive of a member missing the point
-    (every uplift < 0).  Only the uplifts' signs are read."""
+    (every slack < 0).  The point is scaled once, and only the signs of
+    the primitives' slacks are read."""
     members = frozenset(members)
 
     def violation(point):
+        p, d = _clear_denominators(point)
         for i, u in enumerate(utilities):
-            signs = u.uplift_signs(point)
-            if 1 in signs:
-                return [[row] for row in escapes[i][signs.index(1)]]
-            if i in members and max(signs) < 0:
+            slacks = [prim._slack(p, d)[0] for prim in u.primitives]
+            blocking = [s > 0 for s in slacks]
+            if any(blocking):
+                return [[row] for row in escapes[i][blocking.index(True)]]
+            if i in members and max(slacks) < 0:
                 return [list(prim) for prim in membership[i]]
         return None
 

@@ -10,18 +10,20 @@ which keeps every membership and blocking decision exact.
 Each half-space also holds an integer row, computed once at construction:
 its normal and offset times the lcm of their denominators (its scale;
 ``frac_core`` passes the row to its LPs when the scale is 1), and the
-gauge (the sum of the scaled normal), which is positive.  Uplift and membership
-scale the point once to integer numerators over one common denominator and
-then decide everything by integer comparisons and cross-multiplication, as
-the elimination kernel in ``linalg`` does.  ``tau`` and ``cover_labels``
-scale the point once for all the sets and compare the sets' integer slacks
-by cross-multiplying, exact since every gauge is positive and the
-denominator is common.  ``cover_labels`` is one labelling kernel,
-``_labels``, on the scaled point; induced labelings in ``topology.degree``
-call that kernel directly on the integer numerators of each vertex over the
-region's common denominator.  A rational is built only for a returned
-value: one per ``uplift`` or ``tau`` call, none per ``cover_labels`` call
-and none per induced-cover vertex.
+gauge (the sum of the scaled normal), which is positive.  ``_scaled_for``
+scales a point once, to integer numerators p over a common denominator
+d > 0, for all the sets it meets.  Each primitive or set then gives one
+integer slack s (``_slack``), its uplift being s / (g * d) with g > 0, so a
+point-versus-set question is the sign of s: x lies in U when s >= 0,
+escapes the interior of U when s <= 0, and a primitive blocks x when its
+own s > 0.  ``tau`` and ``cover_labels`` compare the sets' slacks by
+cross-multiplying, exact since every gauge is positive and the denominator
+is common.  ``cover_labels`` is one labelling kernel, ``_labels``, on the
+scaled point; induced labelings in ``topology.degree`` call that kernel
+directly on the integer numerators of each vertex over the region's common
+denominator.  A rational is built only for a returned value: one per
+``uplift`` or ``tau`` call and none per membership test or induced-cover
+vertex.
 """
 
 from __future__ import annotations
@@ -34,17 +36,9 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import DimensionMismatch
-from .exact_linear import Feasible, LinearSystem, Unbounded, maximize, solve_feasibility
+from .exact_linear import Feasible, LinearSystem, solve_feasibility
 from .linalg import _clear_denominators, nullspace
 from .rationals import ONE, ZERO, Q, dot, rat, vec
-
-
-def _scaled(x, dim):
-    """(p, d): integer numerators and their positive common denominator, so
-    that x == p / d, after checking the point's length."""
-    if len(x) != dim:
-        raise DimensionMismatch(f"point of dim {len(x)} vs set of dim {dim}")
-    return _clear_denominators(x)
 
 
 @dataclass(frozen=True)
@@ -98,19 +92,6 @@ class Primitive:
     def dim(self) -> int:
         return self.halfspaces[0].dim
 
-    def contains(self, x) -> bool:
-        return self._holds(*_scaled(x, self.dim))
-
-    def uplift(self, x) -> "Q":
-        """max t with x + t*ones inside this cell (finite: gauges are > 0)."""
-        p, d = _scaled(x, self.dim)
-        s, g = self._slack(p, d)
-        return Q(s, g * d)
-
-    def _holds(self, p, d) -> bool:
-        """Membership of the point p / d (p integer, d > 0)."""
-        return all(sum(map(mul, a, p)) <= b * d for a, b, _ in self.rows)
-
     def _slack(self, p, d) -> tuple:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
         d > 0): the least of the rows' (b*d - <a, p>) / g, found by
@@ -144,7 +125,7 @@ class ComprehensiveSet:
     def uplift(self, x) -> "Q":
         """The greatest primitive uplift at x; one rational is built, for
         the result."""
-        p, d = _scaled(x, self.dim)
+        _, p, d = _scaled_for((self,), x)
         s, g = self._slack(p, d)
         return Q(s, g * d)
 
@@ -152,13 +133,6 @@ class ComprehensiveSet:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
         d > 0): the greatest of the primitives' slacks."""
         return _greatest(prim._slack(p, d) for prim in self.primitives)
-
-    def uplift_signs(self, x) -> tuple:
-        """The sign (-1, 0 or 1) of each primitive's uplift at x, in order;
-        no rational is built."""
-        p, d = _scaled(x, self.dim)
-        slacks = (prim._slack(p, d)[0] for prim in self.primitives)
-        return tuple((s > 0) - (s < 0) for s in slacks)
 
     def is_proper(self) -> bool:
         """True iff some point is excluded (exclusion witness constructed).
@@ -168,8 +142,7 @@ class ComprehensiveSet:
         """
         origin = (ZERO,) * self.dim
         t = self.uplift(origin) + ONE
-        witness = tuple(t for _ in range(self.dim))
-        return not any(p.contains(witness) for p in self.primitives)
+        return self.uplift((t,) * self.dim) < ZERO
 
 
 def point_orthant(p) -> Primitive:
@@ -235,16 +208,19 @@ def comprehensive_hull(points) -> Primitive:
 
 
 def contains(cset: ComprehensiveSet, x) -> bool:
-    """Exact membership in the union."""
-    p, d = _scaled(vec(x), cset.dim)
-    return any(prim._holds(p, d) for prim in cset.primitives)
+    """Exact membership in the union: the set's slack at x is >= 0."""
+    _, p, d = _scaled_for((cset,), x)
+    return cset._slack(p, d)[0] >= 0
 
 
 def _greatest(slacks) -> tuple:
     """The greatest of the slacks (s, g), each standing for s / g with
     g > 0, compared by cross-multiplying; the first of equal ones."""
     it = iter(slacks)
-    best_s, best_g = next(it)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("the uplift needs at least one utility set")
+    best_s, best_g = first
     for s, g in it:
         if s * best_g > best_s * g:
             best_s, best_g = s, g
@@ -256,8 +232,6 @@ def _scaled_for(utilities, x) -> tuple:
     for all of them after checking that every set has the point's length."""
     x = vec(x)
     utilities = tuple(utilities)
-    if not utilities:
-        raise ValueError("the uplift needs at least one utility set")
     if any(u.dim != len(x) for u in utilities):
         raise DimensionMismatch("point dimension does not match utilities")
     p, d = _clear_denominators(x)
@@ -439,6 +413,17 @@ def coalitions(n: int):
     return out
 
 
+def _coalition_key(coal, n: int, seen) -> tuple:
+    """The sorted tuple naming ``coal``: a nonempty set of players of
+    range(n), none repeated, that no key in ``seen`` names already."""
+    key = tuple(sorted(coal))
+    if not key or key[0] < 0 or key[-1] >= n or len(set(key)) < len(key):
+        raise ValueError(f"bad coalition {coal}")
+    if key in seen:
+        raise ValueError(f"bad coalition {coal}: {key} is named twice")
+    return key
+
+
 @cache
 def coalition_firm_system(n: int) -> FirmSystem:
     """Firms 1_S/|S|, one per coalition S in ``coalitions`` order, and
@@ -465,10 +450,7 @@ class TUGame:
     def __post_init__(self):
         fixed = {}
         for coal, val in self.values.items():
-            key = tuple(sorted(coal))
-            if not key or any(i < 0 or i >= self.n for i in key):
-                raise ValueError(f"bad coalition {coal}")
-            fixed[key] = rat(val)
+            fixed[_coalition_key(coal, self.n, fixed)] = rat(val)
         object.__setattr__(self, "values", MappingProxyType(fixed))
         missing = [c for c in coalitions(self.n) if c not in fixed]
         if missing:
@@ -496,7 +478,7 @@ class CoalitionalNTUGame:
     def __post_init__(self):
         fixed = {}
         for coal, cs in self.sets.items():
-            key = tuple(sorted(coal))
+            key = _coalition_key(coal, self.n, fixed)
             fixed[key] = cs
             if cs.dim != len(key):
                 raise DimensionMismatch(
@@ -508,15 +490,15 @@ class CoalitionalNTUGame:
             raise ValueError(f"missing coalition sets: {len(missing)}, the first {missing[0]}")
 
     def bounded_above(self) -> bool:
-        """Each V(S) cut to the nonnegative orthant must be bounded (by LP)."""
-        for coal, cs in self.sets.items():
-            k = len(coal)
-            for p in cs.primitives:
-                rows = [(h.normal, h.offset) for h in p.halfspaces]
-                sys = LinearSystem(k, leq=tuple(rows), nonneg=True)
-                for j in range(k):
-                    obj = [ZERO] * k
-                    obj[j] = ONE
-                    if isinstance(maximize(obj, sys), Unbounded):
-                        return False
-        return True
+        """Each V(S) cut to the nonnegative orthant must be bounded.
+
+        There x >= 0 and every normal is >= 0, so a primitive is empty
+        exactly when some offset is < 0 (else it holds 0), and a nonempty
+        one is bounded exactly when each coordinate j has a half-space with
+        normal[j] > 0 (else it holds every t * e_j with t >= 0)."""
+        return all(
+            any(h.offset < ZERO for h in p.halfspaces)
+            or all(any(h.normal[j] > ZERO for h in p.halfspaces) for j in range(p.dim))
+            for cs in self.sets.values()
+            for p in cs.primitives
+        )

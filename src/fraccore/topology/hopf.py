@@ -50,17 +50,18 @@ def first_homology(K):
     """(first Betti number, torsion coefficients) over the integers.
 
     d2 and its transpose have the same invariant factors, so they are read
-    off the coboundary rows."""
+    off the coboundary rows.  A complex of dimension below 2 has no
+    triangles, so no such rows, and one of dimension 0 has no edges."""
     faces = K.all_faces()
     verts = sorted(faces[0])
-    edges = sorted(faces[1])
+    edges = sorted(faces.get(1, ()))
     vid = {v: i for i, v in enumerate(verts)}
     eid = {e: i for i, e in enumerate(edges)}
     d1 = [[0] * len(edges) for _ in verts]
     for j, (a, b) in enumerate(edges):
         d1[vid[(a,)]][j] -= 1
         d1[vid[(b,)]][j] += 1
-    factors = smith_normal_form(_coboundary_rows(eid, sorted(faces[2])))
+    factors = smith_normal_form(_coboundary_rows(eid, sorted(faces.get(2, ()))))
     betti = len(edges) - integer_rank(d1) - sum(1 for d in factors if d)
     return betti, [d for d in factors if d > 1]
 

@@ -1,14 +1,16 @@
-"""Reference uplift and membership in ``Fraction`` arithmetic.
+"""Reference uplift, membership and boundedness in ``Fraction`` arithmetic.
 
 Test-only.  These are the rational closed forms that ``fraccore.game_model``
-replaced with integer rows; every function here must return exactly what
-its namesake there returns.  They read only a half-space's rational
-``normal`` and ``offset``.
+replaced with integer rows, and the LPs that ``bounded_above`` replaced with
+a closed form; every function here must return exactly what its namesake
+there returns.  They read only a half-space's rational ``normal`` and
+``offset``.
 """
 
 from __future__ import annotations
 
-from fraccore.rationals import ZERO, dot
+from fraccore.exact_linear import LinearSystem, Unbounded, maximize
+from fraccore.rationals import ONE, ZERO, dot
 
 
 def halfspace_uplift(h, x):
@@ -40,3 +42,19 @@ def cover_labels(utilities, x) -> frozenset:
     ups = [set_uplift(u, x) for u in utilities]
     best = max(ups)
     return frozenset(i for i, t in enumerate(ups) if t == best)
+
+
+def bounded_above(game) -> bool:
+    """``CoalitionalNTUGame.bounded_above`` by LP: each coordinate maximized
+    over each primitive cut to the nonnegative orthant."""
+    for coal, cs in game.sets.items():
+        k = len(coal)
+        for p in cs.primitives:
+            rows = [(h.normal, h.offset) for h in p.halfspaces]
+            sys = LinearSystem(k, leq=tuple(rows), nonneg=True)
+            for j in range(k):
+                obj = [ZERO] * k
+                obj[j] = ONE
+                if isinstance(maximize(obj, sys), Unbounded):
+                    return False
+    return True

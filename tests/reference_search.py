@@ -8,11 +8,16 @@ LP and tests its point, then maximizes the total payoff over the same rows
 and tests that point too.  Both searches are complete over the same
 polyhedra, so they must agree on the verdict kind and the active subset;
 only witness points may differ.
+
+``verify_fractional_core_point`` is the verifier as it was before it read
+one slack sign per set: a rational uplift per set for blocking and a
+``contains`` per set for membership.  It must return exactly what the
+library's verifier returns.
 """
 
 from __future__ import annotations
 
-from fraccore.balance import minimal_balanced_subsets
+from fraccore.balance import balance_test, minimal_balanced_subsets
 from fraccore.exact_linear import (
     Feasible,
     LinearSystem,
@@ -134,3 +139,22 @@ def core_solve(game, node_cap=DEFAULT_NODE_CAP):
     if found is None:
         return Empty()
     return CorePoint(vec(found))
+
+
+def verify_fractional_core_point(game, x, active=None):
+    x = vec(x)
+    blocked = [i for i, u in enumerate(game.utilities) if u.uplift(x) > ZERO]
+    if blocked:
+        return False, f"blocked by firms {blocked}"
+    if active is not None:
+        members = tuple(sorted(active))
+        missing = [i for i in members if not contains(game.utilities[i], x)]
+        if missing:
+            return False, f"point outside utility sets {missing}"
+    else:
+        members = tuple(i for i, u in enumerate(game.utilities) if contains(u, x))
+        if not members:
+            return False, "point is in no utility set"
+    if not balance_test(game.firm_system, "cone")(members):
+        return False, f"member set {members} is not balanced"
+    return True, "admissible and unblocked"

@@ -95,6 +95,23 @@ def test_frac_core_embedded_with_verify(capsys):
     assert rep["details"]["verify_point"]["accepted"] is True
 
 
+@pytest.mark.parametrize(
+    "point, accepted, info",
+    [
+        ("[-8,-12,-15]", True, "admissible and unblocked"),
+        ("[-20,-20,-20]", False, "blocked by firms [0, 1, 3, 4, 5, 6]"),
+        ("[100,100,100]", False, "point is in no utility set"),
+        ("[-10,100,100]", False, "member set (0,) is not balanced"),
+    ],
+)
+def test_verify_point_reasons(capsys, point, accepted, info):
+    code, rep = run_cli(
+        capsys, "frac-core", data_path("example1-embedded.json"), "--verify-point", point
+    )
+    assert code == 0
+    assert rep["details"]["verify_point"] == {"accepted": accepted, "info": info}
+
+
 def test_embed_roundtrip(capsys, tmp_path):
     code = main(["embed", data_path("example1.json")])
     out = capsys.readouterr().out

@@ -18,7 +18,6 @@ from fraccore.frac_core import (
     embed_coalitional,
     fractional_core_solve,
     is_balanced_game,
-    unblocked,
     verify_fractional_core_point,
 )
 from fraccore.game_model import (
@@ -131,7 +130,7 @@ def test_directed_transfers_hand_points_rejected():
 def test_verifier_failure_reasons():
     game = embed_coalitional(loss_sharing_tu_modified())
     high = (100, 100, 100)  # above every utility set, so unblocked
-    assert unblocked(game, high)
+    assert tau(game.utilities, high) <= 0
     assert verify_fractional_core_point(game, high) == (False, "point is in no utility set")
     assert verify_fractional_core_point(game, high, active=(0,)) == (
         False,
@@ -179,7 +178,7 @@ def test_core_solve_embedded():
         if f != game.distinguished
     )
     # the worked allocation is also a core point of the generalized game
-    assert unblocked(game, (-8, -12, -15))
+    assert tau(game.utilities, (-8, -12, -15)) <= 0
 
 
 def test_core_solve_empty_when_grand_weak():
@@ -330,6 +329,31 @@ def _random_small_game(rng):
             r[i] += v[i]
     fs = FirmSystem(firms=firms, resource=tuple(r))
     return GeneralizedGame(tuple(utilities), fs)
+
+
+def _verifier_cases(rng):
+    """A random small game and points to verify with and without an active
+    subset: a point with mixed denominators, that point raised by its
+    uplift (on the boundary of every set attaining it) and raised by one
+    set's own uplift (on that set's boundary)."""
+    game = _random_small_game(rng)
+    x = tuple(Q(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(game.dim))
+    own = game.utilities[rng.randrange(game.firm_count)].uplift(x)
+    points = [x] + [tuple(c + t for c in x) for t in (tau(game.utilities, x), own)]
+    firms = range(game.firm_count)
+    actives = [None, tuple(rng.sample(firms, rng.randint(1, game.firm_count)))]
+    return game, [(y, active) for y in points for active in actives]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_verifier_matches_the_uplift_and_contains_reference(rng):
+    import reference_search as ref
+
+    game, cases = _verifier_cases(rng)
+    for point, active in cases:
+        got = verify_fractional_core_point(game, point, active=active)
+        assert got == ref.verify_fractional_core_point(game, point, active=active)
 
 
 def test_grid_oracle_agreement():

@@ -161,6 +161,41 @@ def _ntu_sets(grand):
             ValueError,
             r"^missing coalition sets: 2, the first \(0,\)$",
         ),
+        # a coalition key is a nonempty set of players of range(n), and no
+        # two keys name one coalition
+        (lambda: TUGame(1, {(0,): 1, (0, 0): 5}), ValueError, r"^bad coalition \(0, 0\)$"),
+        (
+            lambda: TUGame(2, {(0,): 0, (1,): 0, (0, 1): 3, (1, 0): 4}),
+            ValueError,
+            r"^bad coalition \(1, 0\): \(0, 1\) is named twice$",
+        ),
+        (
+            lambda: CoalitionalNTUGame(1, {(0,): orthant_set((0,)), (): orthant_set((0,))}),
+            ValueError,
+            r"^bad coalition \(\)$",
+        ),
+        (
+            lambda: CoalitionalNTUGame(1, {(0,): orthant_set((0,)), (0, 0): orthant_set((0, 0))}),
+            ValueError,
+            r"^bad coalition \(0, 0\)$",
+        ),
+        (
+            lambda: CoalitionalNTUGame(1, {(0,): orthant_set((0,)), (5,): orthant_set((0,))}),
+            ValueError,
+            r"^bad coalition \(5,\)$",
+        ),
+        (
+            lambda: CoalitionalNTUGame(1, {(-1,): orthant_set((0,))}),
+            ValueError,
+            r"^bad coalition \(-1,\)$",
+        ),
+        (
+            lambda: CoalitionalNTUGame(
+                2, {**_ntu_sets(orthant_set((0, 0))), (1, 0): orthant_set((0, 0))}
+            ),
+            ValueError,
+            r"^bad coalition \(1, 0\): \(0, 1\) is named twice$",
+        ),
     ],
 )
 def test_constructors_and_inputs_rejected(build, error, match):
@@ -173,6 +208,9 @@ def test_bounded_above():
     # x_1 <= 1 leaves x_2 unbounded above on the nonnegative orthant
     open_grand = ComprehensiveSet((coalition_cylinder(2, (0,), 1),))
     assert not CoalitionalNTUGame(2, _ntu_sets(open_grand)).bounded_above()
+    # x_1 <= -1 misses the nonnegative orthant, so it bounds nothing there
+    empty_grand = ComprehensiveSet((coalition_cylinder(2, (0,), -1),))
+    assert CoalitionalNTUGame(2, _ntu_sets(empty_grand)).bounded_above()
 
 
 def test_cylinder():
@@ -457,17 +495,12 @@ def test_firm_system_equality_and_hash_ignore_its_tests():
 
 
 def test_wrong_length_points_raise_dimension_mismatch():
-    prim = point_orthant((1, 2))
-    cset = ComprehensiveSet((prim,))
+    cset = ComprehensiveSet((point_orthant((1, 2)),))
     for x in [(0,), (0, 0, 0)]:
-        with pytest.raises(DimensionMismatch):
-            prim.uplift(x)
-        with pytest.raises(DimensionMismatch):
-            prim.contains(x)
         with pytest.raises(DimensionMismatch):
             cset.uplift(x)
         with pytest.raises(DimensionMismatch):
-            cset.uplift_signs(x)
+            contains(cset, x)
 
 
 denominators = st.sampled_from((1, 2, 3, 4, 6, 12))
@@ -486,6 +519,27 @@ def halfspaces(draw, dim):
 @st.composite
 def primitives(draw, dim):
     return Primitive(tuple(draw(st.lists(halfspaces(dim), min_size=1, max_size=3))))
+
+
+@st.composite
+def ntu_games(draw):
+    """Games on one or two players whose sets have one to three primitives,
+    some empty on the nonnegative orthant (a negative offset) and some
+    with a coordinate that no normal mentions."""
+    n = draw(st.integers(1, 2))
+    sets = {
+        coal: ComprehensiveSet(
+            tuple(draw(st.lists(primitives(len(coal)), min_size=1, max_size=3)))
+        )
+        for coal in coalitions(n)
+    }
+    return CoalitionalNTUGame(n, sets)
+
+
+@given(ntu_games())
+@settings(max_examples=150, deadline=None)
+def test_bounded_above_matches_the_lp_reference(game):
+    assert game.bounded_above() == ref.bounded_above(game)
 
 
 def _rescaled(prim, k):
@@ -524,19 +578,15 @@ def families_and_points(draw):
     return draw(st.permutations(sets)), x
 
 
-def _sign(q):
-    return (q > 0) - (q < 0)
-
-
 def _agrees_with_reference(fam, x):
     for u in fam:
         up = u.uplift(x)
         assert type(up) is Q and up == ref.set_uplift(u, x)
         assert contains(u, x) == ref.set_contains(u, x)
-        assert u.uplift_signs(x) == tuple(_sign(ref.primitive_uplift(p, x)) for p in u.primitives)
         for p in u.primitives:
-            assert p.uplift(x) == ref.primitive_uplift(p, x)
-            assert p.contains(x) == ref.primitive_contains(p, x)
+            cell = ComprehensiveSet((p,))
+            assert cell.uplift(x) == ref.primitive_uplift(p, x)
+            assert contains(cell, x) == ref.primitive_contains(p, x)
     assert tau(fam, x) == ref.tau(fam, x)
     assert cover_labels(fam, x) == ref.cover_labels(fam, x)
 
@@ -554,7 +604,8 @@ def test_integer_rows_match_the_rational_closed_forms(case):
     for u in fam:
         for p in u.primitives:
             y = tuple(c + ref.primitive_uplift(p, x) for c in x)
-            assert p.contains(y) and p.uplift(y) == 0
+            cell = ComprehensiveSet((p,))
+            assert contains(cell, y) and cell.uplift(y) == 0
 
 
 def test_equal_integer_rows_do_not_make_half_spaces_equal():

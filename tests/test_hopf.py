@@ -46,6 +46,21 @@ def test_asset_is_homology_sphere():
     assert betti == 0 and torsion == []
 
 
+@pytest.mark.parametrize(
+    "vertices, facets, homology",
+    [
+        # a circle: no triangles, one independent cycle
+        (3, [(0, 1), (1, 2), (0, 2)], (1, [])),
+        # two points: no edges
+        (2, [(0,), (1,)], (0, [])),
+        # two disjoint circles
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], (2, [])),
+    ],
+)
+def test_first_homology_below_dimension_two(vertices, facets, homology):
+    assert first_homology(SimplicialComplex(vertices, facets)) == homology
+
+
 def test_asset_hopf_invariant_is_one():
     oc, coloring = load()
     assert hopf_invariant(oc, coloring) == 1
