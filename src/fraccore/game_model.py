@@ -13,17 +13,18 @@ its normal and offset times the lcm of their denominators (its scale;
 gauge (the sum of the scaled normal), which is positive.  ``_scaled_for``
 scales a point once, to integer numerators p over a common denominator
 d > 0, for all the sets it meets.  Each primitive or set then gives one
-integer slack s (``_slack``), its uplift being s / (g * d) with g > 0, so a
-point-versus-set question is the sign of s: x lies in U when s >= 0,
-escapes the interior of U when s <= 0, and a primitive blocks x when its
-own s > 0.  ``tau`` and ``cover_labels`` compare the sets' slacks by
-cross-multiplying, exact since every gauge is positive and the denominator
-is common.  ``cover_labels`` is one labelling kernel, ``_labels``, on the
-scaled point; induced labelings in ``topology.degree`` call that kernel
-directly on the integer numerators of each vertex over the region's common
-denominator.  A rational is built only for a returned value: one per
-``uplift`` or ``tau`` call and none per membership test or induced-cover
-vertex.
+integer slack s (``_slack``), its uplift being s / (g * d) with g > 0; a
+set's slack is one loop over its primitives' slacks, each one loop over
+the primitive's rows.  So a point-versus-set question is the sign of s: x
+lies in U when s >= 0, escapes the interior of U when s <= 0, and a
+primitive blocks x when its own s > 0.  ``tau`` and ``cover_labels``
+compare the sets' slacks by cross-multiplying, exact since every gauge is
+positive and the denominator is common.  ``cover_labels`` is one labelling
+kernel, ``_labels``, on the scaled point; induced labelings in
+``topology.degree`` call that kernel directly on the integer numerators of
+each vertex over the region's common denominator.  A rational is built only
+for a returned value: one per ``uplift`` or ``tau`` call and none per
+membership test or induced-cover vertex.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ class Primitive:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
         d > 0): the least of the rows' (b*d - <a, p>) / g, found by
         cross-multiplying, since every g is positive."""
-        best = None
+        best_s = best_g = None
         for a, b, g in self.rows:
             s = b * d - sum(map(mul, a, p))
-            if best is None or s * best[1] < best[0] * g:
-                best = (s, g)
-        return best
+            if best_g is None or s * best_g < best_s * g:
+                best_s, best_g = s, g
+        return best_s, best_g
 
 
 @dataclass(frozen=True)
@@ -131,18 +132,24 @@ class ComprehensiveSet:
 
     def _slack(self, p, d) -> tuple:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
-        d > 0): the greatest of the primitives' slacks."""
-        return _greatest(prim._slack(p, d) for prim in self.primitives)
+        d > 0): the greatest of the primitives' slacks, the first of equal
+        ones."""
+        best_s = best_g = None
+        for prim in self.primitives:
+            s, g = prim._slack(p, d)
+            if best_g is None or s * best_g > best_s * g:
+                best_s, best_g = s, g
+        return best_s, best_g
 
     def is_proper(self) -> bool:
-        """True iff some point is excluded (exclusion witness constructed).
+        """True: some point is excluded, for every set of this class.
 
-        Positive gauges make the all-ones ray escape every primitive, so the
-        origin raised one step past its uplift is always a witness.
+        The uplift falls by exactly t along x + t*ones, because every gauge
+        is positive.  So at the origin raised to origin + (u(origin) + 1) *
+        ones it is u(origin) - (u(origin) + 1) = -1 < 0, and that point lies
+        outside the set.
         """
-        origin = (ZERO,) * self.dim
-        t = self.uplift(origin) + ONE
-        return self.uplift((t,) * self.dim) < ZERO
+        return True
 
 
 def point_orthant(p) -> Primitive:
@@ -330,6 +337,8 @@ class GeneralizedGame:
 
     def __post_init__(self):
         object.__setattr__(self, "utilities", tuple(self.utilities))
+        if not self.utilities:
+            raise ValueError("a game needs at least one utility set")
         if len(self.utilities) != self.firm_system.count:
             raise DimensionMismatch("one utility set per firm is required")
         dims = {u.dim for u in self.utilities}
@@ -413,6 +422,11 @@ def coalitions(n: int):
     return out
 
 
+def _check_players(n: int):
+    if n < 1:
+        raise ValueError(f"a game needs at least one player, got n = {n}")
+
+
 def _coalition_key(coal, n: int, seen) -> tuple:
     """The sorted tuple naming ``coal``: a nonempty set of players of
     range(n), none repeated, that no key in ``seen`` names already."""
@@ -448,6 +462,7 @@ class TUGame:
     values: Mapping = field(hash=False)
 
     def __post_init__(self):
+        _check_players(self.n)
         fixed = {}
         for coal, val in self.values.items():
             fixed[_coalition_key(coal, self.n, fixed)] = rat(val)
@@ -476,6 +491,7 @@ class CoalitionalNTUGame:
     sets: Mapping = field(hash=False)
 
     def __post_init__(self):
+        _check_players(self.n)
         fixed = {}
         for coal, cs in self.sets.items():
             key = _coalition_key(coal, self.n, fixed)

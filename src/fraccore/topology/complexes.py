@@ -5,18 +5,25 @@ sign per facet, coherent when the two induced signs on every interior ridge
 cancel; the induced sign of a facet (v0<...<vk, s) on the ridge omitting
 position p is s*(-1)^p.  ``ridges_coherent`` is that rule over one
 ``ridges()`` map, so a caller that also checks closedness builds the map once.
+``validate_closed_manifold`` reads closedness and orientability off one such
+map, and checks each vertex link of a 3-complex from face counts and a
+union-find instead of building the link as a complex.
 
 Barycentric subdivision reads each facet off a flag table per facet size k,
 built once: the k positions' 2^k - 1 faces in the order the permutations of
 range(k) first reach them, each permutation's chain of those faces with its
 sign, and the sign of every permutation for sorting a flag's vertex ids.
+The table holds each face and each chain as an ``itemgetter``, which reads
+a facet's faces and a flag's face ids.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from ..errors import NotClosedManifold
 
@@ -66,8 +73,7 @@ class SimplicialComplex:
         return out
 
     def euler_characteristic(self) -> int:
-        faces = self.all_faces()
-        return sum((-1) ** d * len(fs) for d, fs in faces.items())
+        return _euler(self.all_faces())
 
     def is_connected(self) -> bool:
         adj = {}
@@ -127,7 +133,12 @@ def ridges_coherent(orientation, incidences) -> bool:
 
 def propagate_orientation(K: SimplicialComplex):
     """Coherent orientation by breadth-first propagation, or None."""
-    ridges = K.ridges()
+    signs = _propagated_signs(K, K.ridges())
+    return None if signs is None else OrientedComplex(K, signs)
+
+
+def _propagated_signs(K: SimplicialComplex, ridges):
+    """``propagate_orientation``'s signs over the ``ridges()`` map, or None."""
     signs = [0] * len(K.facets)
     for start in range(len(K.facets)):
         if signs[start] != 0:
@@ -148,7 +159,7 @@ def propagate_orientation(K: SimplicialComplex):
                         stack.append(gj)
                     elif signs[gj] != needed:
                         return None
-    return OrientedComplex(K, tuple(signs))
+    return tuple(signs)
 
 
 @dataclass(frozen=True)
@@ -177,32 +188,66 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     3-complex is a closed surface already: its triangles are the facets at
     the vertex less the vertex, and each of its edges lies in the two
     facets of its ridge.  So only connectivity and Euler characteristic
-    are tested.  Spherical links force Euler characteristic 0 on K.
+    are tested, from face counts and a union-find (``_links_ok``), without
+    building the links.  Spherical links force Euler characteristic 0 on
+    K.  Closedness and orientability are read off one ``ridges()`` map, and
+    the Euler characteristics off one ``all_faces()``.
     """
     if K.dim > 3:
         raise NotClosedManifold("manifold validation supports dimension <= 3")
-    closed = all(len(inc) == 2 for inc in K.ridges().values())
-    connected = K.is_connected()
-    orientable = propagate_orientation(K) is not None if closed else False
+    ridges = K.ridges()
+    closed = all(len(inc) == 2 for inc in ridges.values())
+    orientable = closed and _propagated_signs(K, ridges) is not None
+    faces = K.all_faces()
     links_ok = None
     if K.dim == 3 and closed:
-        links = {}
-        for f in K.facets:
-            for p, v in enumerate(f):
-                links.setdefault(v, []).append(f[:p] + f[p + 1 :])
-        links_ok = all(
-            link.is_connected() and link.euler_characteristic() == 2
-            for link in (SimplicialComplex(K.num_vertices, f) for f in links.values())
-        )
+        links_ok = _links_ok(K.facets, faces)
     return ManifoldReport(
         dim=K.dim,
         pure=True,  # enforced structurally by the constructor
         closed=closed,
-        connected=connected,
+        connected=K.is_connected(),
         orientable=orientable,
-        euler=K.euler_characteristic(),
+        euler=_euler(faces),
         links_ok=links_ok,
     )
+
+
+def _euler(faces) -> int:
+    return sum((-1) ** d * len(fs) for d, fs in faces.items())
+
+
+def _links_ok(facets, faces) -> bool:
+    """Every vertex link of a closed 3-complex is connected with Euler
+    characteristic 2.  The link of v has e = #edges at v vertices and
+    chi = e - #triangles at v + #facets at v; it is connected when its
+    triangles, each joining its three vertices, make e - 1 merges in a
+    union-find over them."""
+    edges, chi, merges = Counter(), Counter(), Counter()
+    for face in faces[1]:
+        for v in face:
+            edges[v] += 1
+    for face in faces[2]:
+        for v in face:
+            chi[v] -= 1
+    parent = {}  # (v, u) -> a vertex of the same class in the link of v
+
+    def root(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for f in facets:
+        for v in f:
+            chi[v] += 1
+            first, *others = [(v, u) for u in f if u != v]
+            first = root(first)
+            for x in others:
+                x = root(x)
+                if x != first:
+                    parent[x] = first
+                    merges[v] += 1
+    return all(e + chi[v] == 2 and merges[v] == e - 1 for v, e in edges.items())
 
 
 def simplex_boundary(k: int) -> OrientedComplex:
@@ -219,14 +264,15 @@ def simplex_boundary(k: int) -> OrientedComplex:
 def boundary_complex(oc: OrientedComplex) -> OrientedComplex:
     """Oriented boundary: ridges lying in exactly one facet, with the
     induced signs (sorted-ridge convention)."""
-    ridges = oc.complex.ridges()
     facets = []
     signs = []
-    for ridge, incidence in sorted(ridges.items()):
-        if len(incidence) == 1:
-            fi, p = incidence[0]
-            facets.append(ridge)
-            signs.append(oc.orientation[fi] * (-1) ** p)
+    for ridge, (fi, p) in sorted(
+        (ridge, incidence[0])
+        for ridge, incidence in oc.complex.ridges().items()
+        if len(incidence) == 1
+    ):
+        facets.append(ridge)
+        signs.append(oc.orientation[fi] * (-1) ** p)
     if not facets:
         raise NotClosedManifold("complex has no boundary")
     return OrientedComplex(
@@ -257,11 +303,20 @@ class Subdivision:
     carriers: tuple
 
 
+def _getter(indices):
+    """``itemgetter(*indices)``, returning a tuple for one index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 @cache
 def _flag_table(k: int):
-    """For facet size k: the positions of the 2^k - 1 faces in the order
-    the permutations of range(k) first reach them, each permutation's chain
-    of face indices with its sign, and {permutation: sign}."""
+    """For facet size k: a getter of each of the 2^k - 1 faces' positions,
+    in the order the permutations of range(k) first reach them, each
+    permutation's getter of its chain of face indices with its sign, and
+    {permutation: sign}."""
     masks = {}
     flags = []
     signs = {}
@@ -272,8 +327,8 @@ def _flag_table(k: int):
             mask |= 1 << idx
             chain.append(masks.setdefault(mask, len(masks)))
         signs[perm] = _perm_sign(perm)
-        flags.append((tuple(chain), signs[perm]))
-    faces = tuple(tuple(i for i in range(k) if mask >> i & 1) for mask in masks)
+        flags.append((_getter(chain), signs[perm]))
+    faces = tuple(_getter([i for i in range(k) if mask >> i & 1]) for mask in masks)
     return faces, tuple(flags), signs
 
 
@@ -290,17 +345,17 @@ def barycentric_subdivision(oc: OrientedComplex) -> Subdivision:
     for f, base_sign in zip(oc.complex.facets, oc.orientation):
         faces, flags, signs = _flag_table(len(f))
         ids = []
-        for positions in faces:
-            face = tuple([f[i] for i in positions])
+        for face_of in faces:
+            face = face_of(f)
             w = face_ids.get(face)
             if w is None:
                 w = face_ids[face] = len(carriers)
                 carriers.append(face)
             ids.append(w)
-        for chain, sign in flags:
-            flag = [ids[i] for i in chain]
-            ordered = sorted(flag)
-            sd_facets.append(tuple(ordered))
+        for chain_of, sign in flags:
+            flag = chain_of(ids)
+            ordered = tuple(sorted(flag))
+            sd_facets.append(ordered)
             sd_signs.append(base_sign * sign * signs[tuple(map(flag.index, ordered))])
     K = SimplicialComplex(len(carriers), tuple(sd_facets))
     return Subdivision(OrientedComplex(K, tuple(sd_signs)), tuple(carriers))

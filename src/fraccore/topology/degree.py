@@ -100,7 +100,7 @@ def _crossing(cols, ray):
 def _ray_candidates(k: int):
     s = 2
     while True:
-        yield tuple(rat(s) ** p for p in range(k + 1))
+        yield tuple(s**p for p in range(k + 1))
         s += 1
 
 
@@ -113,6 +113,9 @@ def pl_degree(lc: LabeledCover):
     finitely many hyperplanes, which the moment curve meets finitely often).
     The curve starts at s = 2: s = 1 gives (1, ..., 1), which lies on the
     symmetric faces of identity and Sperner covers and so forces a retry.
+    The firm coordinates are cleared to integers by one positive common
+    factor, which changes no determinant sign and no cone membership, and
+    the rays are integers, so every crossing reduces integer rows.
 
     Closedness and coherence are read off one ``ridges()`` map.  A facet's
     balance and crossing depend only on its ordered tuple of chosen labels,
@@ -129,6 +132,8 @@ def pl_degree(lc: LabeledCover):
         raise NotClosedManifold("orientation is not coherent")
     k = K.dim
     coords = _affine_coordinates(lc.firm_system, k)
+    ints, _ = _clear_denominators([c for col in coords for c in col])
+    coords = [tuple(ints[i : i + k + 1]) for i in range(0, len(ints), k + 1)]
     chosen = [min(ls) for ls in lc.labels]
     facet_labels = [tuple([chosen[u] for u in facet]) for facet in K.facets]
     balanced = balance_test(lc.firm_system, "convex")

@@ -1,18 +1,31 @@
-"""Reference version of ``fraccore.topology.complexes.barycentric_subdivision``.
+"""Reference versions of ``fraccore.topology.complexes.barycentric_subdivision``
+and ``validate_closed_manifold``.
 
-Test-only.  This is the per-permutation loop the library used before it read
-each facet's flags off a table per facet size: every permutation of a
-facet's positions grows its chain of faces one vertex at a time, numbers
-each face on first sight, and signs the flag by the permutation and by the
-sort of its vertex ids, both computed per flag.  It must return exactly the
-``Subdivision`` the library returns.
+Test-only.  ``barycentric_subdivision`` is the per-permutation loop the
+library used before it read each facet's flags off a table per facet size:
+every permutation of a facet's positions grows its chain of faces one vertex
+at a time, numbers each face on first sight, and signs the flag by the
+permutation and by the sort of its vertex ids, both computed per flag.  It
+must return exactly the ``Subdivision`` the library returns.
+
+``validate_closed_manifold`` builds each vertex link of a closed 3-complex
+as a ``SimplicialComplex`` and asks it ``is_connected()`` and
+``euler_characteristic()``, as the library did before it read the links off
+face counts.  It must return exactly the library's ``ManifoldReport``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from fraccore.topology.complexes import OrientedComplex, SimplicialComplex, Subdivision
+from fraccore.errors import NotClosedManifold
+from fraccore.topology.complexes import (
+    ManifoldReport,
+    OrientedComplex,
+    SimplicialComplex,
+    Subdivision,
+    propagate_orientation,
+)
 
 
 def perm_sign(perm) -> int:
@@ -55,3 +68,28 @@ def barycentric_subdivision(oc: OrientedComplex) -> Subdivision:
             sd_signs.append(sign)
     K = SimplicialComplex(len(carriers), tuple(sd_facets))
     return Subdivision(OrientedComplex(K, tuple(sd_signs)), tuple(carriers))
+
+
+def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
+    if K.dim > 3:
+        raise NotClosedManifold("manifold validation supports dimension <= 3")
+    closed = all(len(inc) == 2 for inc in K.ridges().values())
+    links_ok = None
+    if K.dim == 3 and closed:
+        links = {}
+        for f in K.facets:
+            for p, v in enumerate(f):
+                links.setdefault(v, []).append(f[:p] + f[p + 1 :])
+        links_ok = all(
+            link.is_connected() and link.euler_characteristic() == 2
+            for link in (SimplicialComplex(K.num_vertices, f) for f in links.values())
+        )
+    return ManifoldReport(
+        dim=K.dim,
+        pure=True,
+        closed=closed,
+        connected=K.is_connected(),
+        orientable=propagate_orientation(K) is not None if closed else False,
+        euler=K.euler_characteristic(),
+        links_ok=links_ok,
+    )

@@ -1,3 +1,4 @@
+import random
 from functools import cache
 
 import pytest
@@ -160,6 +161,91 @@ def test_simplicial_complex_rejections(num_vertices, facets, match):
 def test_oriented_complex_rejections(signs, match):
     with pytest.raises(ValueError, match=match):
         OrientedComplex(simplex_boundary(3).complex, signs)
+
+
+# ---------------------------------------------------------------------------
+# manifold validation from face counts against the per-link reference
+# ---------------------------------------------------------------------------
+
+
+def _sphere_at_the_cone_point_of_a_coned_solid_torus():
+    """The boundary of the 4-simplex glued at one vertex to the cone point
+    of a solid torus whose boundary torus is coned off.  The glued vertex
+    has link S^2 + T^2 (Euler characteristic 2, two components); every
+    other vertex link is a 2-sphere."""
+    m = 4  # a triangle times a 4-cycle, each prism cut into three tetrahedra
+    facets = []
+    for i in range(m):
+        a0, b0, c0 = (3 * i + j for j in range(3))
+        a1, b1, c1 = (3 * ((i + 1) % m) + j for j in range(3))
+        facets += [(a0, b0, c0, a1), (b0, c0, a1, b1), (c0, a1, b1, c1)]
+    cone = 3 * m
+    rim = [r for r, inc in SimplicialComplex(cone, facets).ridges().items() if len(inc) == 1]
+    facets += [r + (cone,) for r in rim]
+    sphere = range(cone, cone + 5)
+    facets += [tuple(v for v in sphere if v != w) for w in sphere]
+    return SimplicialComplex(cone + 5, facets)
+
+
+def _relabeled_assets(count=6):
+    from relabel import relabel
+
+    from fraccore.topology.s3_12 import load
+
+    sphere, coloring = load()
+    rng = random.Random("validate-closed-manifold")
+    out = [sphere.complex]
+    for _ in range(count):
+        perm = list(range(sphere.complex.num_vertices))
+        rng.shuffle(perm)
+        out.append(relabel(sphere, coloring, perm)[0].complex)
+    return out
+
+
+@cache
+def _validation_cases():
+    cases = {
+        "circle": simplex_boundary(2).complex,
+        "butterfly": SimplicialComplex(5, ((0, 1, 2), (2, 3, 4))),
+        "rp2": SimplicialComplex(6, RP2_FACETS),
+        "boundary-3-simplex": simplex_boundary(3).complex,
+        "boundary-4-simplex": simplex_boundary(4).complex,
+        "sd-boundary-4-simplex": barycentric_subdivision(simplex_boundary(4)).oriented.complex,
+        "suspended-rp2": SimplicialComplex(
+            8, tuple(f + (apex,) for f in RP2_FACETS for apex in (6, 7))
+        ),
+        "open-3-ball": SimplicialComplex(5, simplex_boundary(4).complex.facets[1:]),
+        "two-3-spheres": SimplicialComplex(
+            10,
+            tuple(
+                tuple(v + shift for v in f)
+                for shift in (0, 5)
+                for f in simplex_boundary(4).complex.facets
+            ),
+        ),
+        "sphere-at-coned-solid-torus": _sphere_at_the_cone_point_of_a_coned_solid_torus(),
+    }
+    for i, K in enumerate(_relabeled_assets()):
+        cases[f"sphere-asset-{i}"] = K
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_validation_cases()))
+def test_validation_matches_the_per_link_reference(name):
+    from reference_complexes import validate_closed_manifold as reference
+
+    K = _validation_cases()[name]
+    assert validate_closed_manifold(K) == reference(K)
+
+
+def test_a_disconnected_link_of_euler_characteristic_two_fails():
+    # only connectivity fails: chi(S^2 + T^2) = 2 + 0, and every ridge lies
+    # in two facets of a connected, orientable complex
+    K = _sphere_at_the_cone_point_of_a_coned_solid_torus()
+    rep = validate_closed_manifold(K)
+    assert rep.closed and rep.connected and rep.orientable
+    assert rep.euler == 0
+    assert rep.links_ok is False and not rep.ok
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,19 @@ def _ntu_sets(grand):
             ValueError,
             r"^bad coalition \(1, 0\): \(0, 1\) is named twice$",
         ),
+        # a game has a utility set and a player
+        (
+            lambda: GeneralizedGame((), FirmSystem((), (1,))),
+            ValueError,
+            r"^a game needs at least one utility set$",
+        ),
+        (lambda: TUGame(0, {}), ValueError, r"^a game needs at least one player, got n = 0$"),
+        (lambda: TUGame(-1, {}), ValueError, r"^a game needs at least one player, got n = -1$"),
+        (
+            lambda: CoalitionalNTUGame(0, {}),
+            ValueError,
+            r"^a game needs at least one player, got n = 0$",
+        ),
     ],
 )
 def test_constructors_and_inputs_rejected(build, error, match):
@@ -327,6 +340,17 @@ def test_monotonicity(fam, x, drop):
 def test_properness_always_holds_for_class():
     u = orthant_set((3, 3, 3), (0, 5, 1))
     assert u.is_proper()
+
+
+@given(comprehensive_families())
+@settings(max_examples=60, deadline=None)
+def test_the_origin_raised_past_its_uplift_is_excluded(fam):
+    # the proof behind is_proper: the uplift falls by exactly t along
+    # x + t * ones, so it reads -1 one step past the origin's uplift
+    for u in fam:
+        t = u.uplift((0, 0, 0)) + 1
+        assert u.uplift((t, t, t)) == -1
+        assert not contains(u, (t, t, t))
 
 
 def test_cover_labels_evaluates_each_uplift_once(monkeypatch):
