@@ -14,17 +14,18 @@ gauge (the sum of the scaled normal), which is positive.  ``_scaled_for``
 scales a point once, to integer numerators p over a common denominator
 d > 0, for all the sets it meets.  Each primitive or set then gives one
 integer slack s (``_slack``), its uplift being s / (g * d) with g > 0; a
-set's slack is one loop over its primitives' slacks, each one loop over
-the primitive's rows.  So a point-versus-set question is the sign of s: x
-lies in U when s >= 0, escapes the interior of U when s <= 0, and a
-primitive blocks x when its own s > 0.  ``tau`` and ``cover_labels``
-compare the sets' slacks by cross-multiplying, exact since every gauge is
-positive and the denominator is common.  ``cover_labels`` is one labelling
-kernel, ``_labels``, on the scaled point; induced labelings in
-``topology.degree`` call that kernel directly on the integer numerators of
-each vertex over the region's common denominator.  A rational is built only
-for a returned value: one per ``uplift`` or ``tau`` call and none per
-membership test or induced-cover vertex.
+primitive's slack is one loop over its rows, and a set's is the greatest
+of its primitives' slacks (the one primitive's, for a set of one).  So a
+point-versus-set question is the sign of s: x lies in U when s >= 0,
+escapes the interior of U when s <= 0, and a primitive blocks x when its
+own s > 0.  ``tau`` and ``cover_labels`` compare the sets' slacks by
+cross-multiplying, exact since every gauge is positive and the denominator
+is common.  ``cover_labels`` is one labelling kernel, ``_labels``, on the
+scaled point; induced labelings in ``topology.degree`` call that kernel
+directly on the integer numerators of each vertex over the region's common
+denominator.  A rational is built only for a returned value: one per
+``uplift`` or ``tau`` call and none per membership test or induced-cover
+vertex.
 """
 
 from __future__ import annotations
@@ -132,14 +133,12 @@ class ComprehensiveSet:
 
     def _slack(self, p, d) -> tuple:
         """(s, g) with uplift s / (g * d) at the point p / d (p integer,
-        d > 0): the greatest of the primitives' slacks, the first of equal
-        ones."""
-        best_s = best_g = None
-        for prim in self.primitives:
-            s, g = prim._slack(p, d)
-            if best_g is None or s * best_g > best_s * g:
-                best_s, best_g = s, g
-        return best_s, best_g
+        d > 0): the greatest of the primitives' slacks (``_greatest``); a
+        set of one primitive gives that primitive's, without a list."""
+        prims = self.primitives
+        if len(prims) == 1:
+            return prims[0]._slack(p, d)
+        return _greatest([prim._slack(p, d) for prim in prims])
 
     def is_proper(self) -> bool:
         """True: some point is excluded, for every set of this class.

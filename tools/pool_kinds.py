@@ -2,18 +2,19 @@
 
 Usage (from the repository root):
 
-    python3 tools/pool_kinds.py SRC WORKLOAD SEED [--ops N]
+    python3 tools/pool_kinds.py SRC WORKLOAD SEED
 
-Generates the seed's pool with ``perfbench/gen.py`` and runs it through
-``perfbench/workloads.py`` against the fraccore package under ``SRC``: once
-to fill every memo, then four timed passes.  As in ``perfbench/run.py``,
-each operation's CPU time follows a ``calibrate.reference()`` reading and is
-scaled to reference seconds by the readings around it.  Prints one JSON line:
-throughput, p50 and p90 latency over the timed operations, and the
-reference milliseconds one pass spends on each operation kind.  Run it
-alternately on two checkouts' ``src`` directories to see which kind of
-operation a change moved; ``run.py`` and its tracer report layers, not
-kinds.  Standard library only; nothing under ``perfbench/`` is changed.
+Generates the seed's pool with ``perfbench/gen.py``, as many operations as
+``perfbench/run.py`` generates for the workload (its ``POOL``), and runs
+it through ``perfbench/workloads.py`` against the fraccore package under
+``SRC``: once to fill every memo, then four timed passes.  As in
+``perfbench/run.py``, each operation's CPU time follows a
+``calibrate.reference()`` reading and is scaled to reference seconds by
+the readings around it.  Prints one JSON line: throughput, p50 and p90
+latency over the timed operations, and the reference milliseconds one
+pass spends on each operation kind.  Run it alternately on two
+checkouts' ``src`` directories to see which kind of operation a change
+moved; ``run.py`` and its tracer report layers, not kinds.  Standard library only; nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import calibrate  # noqa: E402
 import gen  # noqa: E402
 import workloads  # noqa: E402
+from run import POOL  # noqa: E402
 
 PASSES = 4
 
@@ -39,12 +41,11 @@ def main(argv=None) -> int:
     ap.add_argument("src", type=Path)
     ap.add_argument("workload", choices=sorted(gen.GENERATORS))
     ap.add_argument("seed", type=int)
-    ap.add_argument("--ops", type=int, default=256, help="operations per pool")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     program = workloads.Program()
     run = workloads.RUNNERS[args.workload]
-    inputs, expect = gen.generate(args.workload, args.seed, args.ops)
+    inputs, expect = gen.generate(args.workload, args.seed, POOL[args.workload])
     doc = json.loads(gen.canonical({"workload": args.workload, "ops": inputs}))
     parsed = workloads.parse(program, doc)
     kinds = [workloads.op_kind(args.workload, op, ex) for op, ex in zip(inputs, expect)]
