@@ -139,11 +139,18 @@ def _require(args, *names):
             raise _UsageError(f"--{name} is required for this action")
 
 
+def _at_least_one(args, *names):
+    """No game has fewer than one player or firm, and no search fewer than
+    one node, so a count or cap below 1 is a usage error."""
+    for name in names:
+        if getattr(args, name.replace("-", "_")) < 1:
+            raise _UsageError(f"--{name} must be at least 1")
+
+
 def _cmd_balance(args):
     if args.action == "minimal":
         _require(args, "players")
-        if args.players < 1:
-            raise _UsageError("--players must be at least 1")
+        _at_least_one(args, "players")
         fams = balance.minimal_balanced_families(args.players)
         return "computed", {
             "count": len(fams),
@@ -225,6 +232,7 @@ def _cmd_tu_balanced(args):
 
 
 def _cmd_frac_core(args):
+    _at_least_one(args, "firm-cap", "node-cap")
     game = game_from_json(_load_json(args.input))
     details = {}
     res = frac_core.fractional_core_solve(
@@ -250,6 +258,7 @@ def _distinguished_game(args):
 
 
 def _cmd_core(args):
+    _at_least_one(args, "node-cap")
     game = _distinguished_game(args)
     res = frac_core.core_solve(game, node_cap=args.node_cap)
     if isinstance(res, frac_core.CorePoint):
@@ -258,6 +267,7 @@ def _cmd_core(args):
 
 
 def _cmd_game_balanced(args):
+    _at_least_one(args, "firm-cap")
     game = _distinguished_game(args)
     res = frac_core.is_balanced_game(game, subset_cap=args.firm_cap)
     if isinstance(res, frac_core.BalancedGame):

@@ -6,8 +6,11 @@ cancel; the induced sign of a facet (v0<...<vk, s) on the ridge omitting
 position p is s*(-1)^p.  ``ridges_coherent`` is that rule over one
 ``ridges()`` map, so a caller that also checks closedness builds the map once.
 ``validate_closed_manifold`` reads closedness and orientability off one such
-map, and checks each vertex link of a 3-complex from face counts and a
-union-find instead of building the link as a complex.
+map, and checks each vertex link of a 3-complex from face counts instead of
+building the link as a complex.  One union-find, ``_classes``, answers every
+connectivity question: whether a complex or each vertex link is connected,
+the components of balanced facets (``index``) and rank d1 = #vertices -
+#components (``hopf``).
 
 Barycentric subdivision reads each facet off a flag table per facet size k,
 built once: the k positions' 2^k - 1 faces in the order the permutations of
@@ -76,20 +79,28 @@ class SimplicialComplex:
         return _euler(self.all_faces())
 
     def is_connected(self) -> bool:
-        adj = {}
-        for f in self.facets:
-            for a in f:
-                adj.setdefault(a, set()).update(u for u in f if u != a)
-        verts = set(adj)  # nonempty: a complex has a facet, and no facet is empty
-        seen = set()
-        stack = [next(iter(verts))]
-        while stack:
-            a = stack.pop()
-            if a in seen:
-                continue
-            seen.add(a)
-            stack.extend(adj[a] - seen)
-        return seen == verts
+        return len(set(_classes(self.facets).values())) == 1
+
+
+def _classes(groups):
+    """Union-find: map every element of the nonempty groups to the
+    representative of its class, the finest partition that puts each group
+    in one class."""
+    parent = {}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    for first, *others in groups:
+        parent.setdefault(first, first)
+        first = root(first)
+        for x in others:
+            parent.setdefault(x, x)
+            parent[root(x)] = first
+    return {x: root(x) for x in parent}
 
 
 @dataclass(frozen=True)
@@ -188,10 +199,10 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     3-complex is a closed surface already: its triangles are the facets at
     the vertex less the vertex, and each of its edges lies in the two
     facets of its ridge.  So only connectivity and Euler characteristic
-    are tested, from face counts and a union-find (``_links_ok``), without
-    building the links.  Spherical links force Euler characteristic 0 on
-    K.  Closedness and orientability are read off one ``ridges()`` map, and
-    the Euler characteristics off one ``all_faces()``.
+    are tested, from face counts and the union-find ``_classes``
+    (``_links_ok``), without building the links.  Spherical links force
+    Euler characteristic 0 on K.  Closedness and orientability are read off
+    one ``ridges()`` map, and the Euler characteristics off one ``all_faces()``.
     """
     if K.dim > 3:
         raise NotClosedManifold("manifold validation supports dimension <= 3")
@@ -201,7 +212,7 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     faces = K.all_faces()
     links_ok = None
     if K.dim == 3 and closed:
-        links_ok = _links_ok(K.facets, faces)
+        links_ok = _links_ok(K.facets, faces[2])
     return ManifoldReport(
         dim=K.dim,
         pure=True,  # enforced structurally by the constructor
@@ -217,37 +228,25 @@ def _euler(faces) -> int:
     return sum((-1) ** d * len(fs) for d, fs in faces.items())
 
 
-def _links_ok(facets, faces) -> bool:
+def _links_ok(facets, triangles) -> bool:
     """Every vertex link of a closed 3-complex is connected with Euler
-    characteristic 2.  The link of v has e = #edges at v vertices and
-    chi = e - #triangles at v + #facets at v; it is connected when its
-    triangles, each joining its three vertices, make e - 1 merges in a
-    union-find over them."""
-    edges, chi, merges = Counter(), Counter(), Counter()
-    for face in faces[1]:
-        for v in face:
-            edges[v] += 1
-    for face in faces[2]:
+    characteristic 2.  The link of v has a vertex (v, u) per edge at v and
+    chi = #edges at v - #triangles at v + #facets at v; it is connected when
+    ``_classes`` over those pairs, one group per facet at v, has one root."""
+    chi = Counter()
+    for face in triangles:
         for v in face:
             chi[v] -= 1
-    parent = {}  # (v, u) -> a vertex of the same class in the link of v
-
-    def root(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
+    groups = []
     for f in facets:
         for v in f:
             chi[v] += 1
-            first, *others = [(v, u) for u in f if u != v]
-            first = root(first)
-            for x in others:
-                x = root(x)
-                if x != first:
-                    parent[x] = first
-                    merges[v] += 1
-    return all(e + chi[v] == 2 and merges[v] == e - 1 for v, e in edges.items())
+            groups.append([(v, u) for u in f if u != v])
+    edges, roots = Counter(), Counter()
+    for pair, root in _classes(groups).items():
+        edges[pair[0]] += 1
+        roots[pair[0]] += pair == root
+    return all(e + chi[v] == 2 and roots[v] == 1 for v, e in edges.items())
 
 
 def simplex_boundary(k: int) -> OrientedComplex:

@@ -16,8 +16,8 @@ triangle.
 from __future__ import annotations
 
 from ..errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
-from .complexes import OrientedComplex, _perm_sign, validate_closed_manifold
-from .intlinalg import integer_rank, smith_normal_form, solve_integer
+from .complexes import OrientedComplex, _classes, _perm_sign, validate_closed_manifold
+from .intlinalg import smith_normal_form, solve_integer
 
 
 def _pullback(triangles, vertex_map, target):
@@ -49,20 +49,17 @@ def _coboundary_rows(eid, tris):
 def first_homology(K):
     """(first Betti number, torsion coefficients) over the integers.
 
-    d2 and its transpose have the same invariant factors, so they are read
-    off the coboundary rows.  A complex of dimension below 2 has no
-    triangles, so no such rows, and one of dimension 0 has no edges."""
+    rank d1 = #vertices - #components, the vertices that ``_classes`` over
+    the facets does not take as representatives.  d2 and its transpose have
+    the same invariant factors, so they are read off the coboundary rows.  A
+    complex of dimension below 2 has no triangles, so no such rows, and one
+    of dimension 0 has no edges."""
     faces = K.all_faces()
-    verts = sorted(faces[0])
     edges = sorted(faces.get(1, ()))
-    vid = {v: i for i, v in enumerate(verts)}
     eid = {e: i for i, e in enumerate(edges)}
-    d1 = [[0] * len(edges) for _ in verts]
-    for j, (a, b) in enumerate(edges):
-        d1[vid[(a,)]][j] -= 1
-        d1[vid[(b,)]][j] += 1
+    rank_d1 = sum(1 for v, root in _classes(K.facets).items() if v != root)
     factors = smith_normal_form(_coboundary_rows(eid, sorted(faces.get(2, ()))))
-    betti = len(edges) - integer_rank(d1) - sum(1 for d in factors if d)
+    betti = len(edges) - rank_d1 - sum(1 for d in factors if d)
     return betti, [d for d in factors if d > 1]
 
 

@@ -16,6 +16,7 @@ from ..errors import BoundaryTouchesBalanced, NotIsolated
 from .complexes import (
     OrientedComplex,
     SimplicialComplex,
+    _classes,
     barycentric_subdivision,
     boundary_complex,
 )
@@ -27,31 +28,15 @@ def balanced_facet_indices(lc: LabeledCover):
 
 
 def balanced_components(lc: LabeledCover):
-    """Connected components (shared-vertex connectivity) of balanced facets."""
-    balanced = balanced_facet_indices(lc)
+    """Connected components (shared-vertex connectivity) of balanced facets,
+    grouped by the ``_classes`` root of each one's first vertex."""
     facets = lc.oriented.complex.facets
-    by_vertex = {}
+    balanced = balanced_facet_indices(lc)
+    root = _classes(facets[idx] for idx in balanced)
+    components = {}
     for idx in balanced:
-        for v in facets[idx]:
-            by_vertex.setdefault(v, []).append(idx)
-    seen = set()
-    components = []
-    for start in balanced:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            if f in comp:
-                continue
-            comp.add(f)
-            for v in facets[f]:
-                stack.extend(g for g in by_vertex[v] if g not in comp)
-        seen |= comp
-        components.append(frozenset(comp))
-    components.sort(key=lambda c: sorted(c))
-    return components
+        components.setdefault(root[facets[idx][0]], set()).add(idx)
+    return sorted(map(frozenset, components.values()), key=sorted)
 
 
 def component_index(lc: LabeledCover, component) -> int:

@@ -9,9 +9,14 @@ permutation and by the sort of its vertex ids, both computed per flag.  It
 must return exactly the ``Subdivision`` the library returns.
 
 ``validate_closed_manifold`` builds each vertex link of a closed 3-complex
-as a ``SimplicialComplex`` and asks it ``is_connected()`` and
-``euler_characteristic()``, as the library did before it read the links off
+as a ``SimplicialComplex`` and asks it ``euler_characteristic()`` and
+``is_connected`` below, as the library did before it read the links off
 face counts.  It must return exactly the library's ``ManifoldReport``.
+
+``is_connected`` is the depth-first search over per-vertex adjacency sets
+that ``SimplicialComplex.is_connected`` ran before the library answered
+every connectivity question with one union-find, so the reference shares no
+connectivity code with the library it checks.
 """
 
 from __future__ import annotations
@@ -70,6 +75,23 @@ def barycentric_subdivision(oc: OrientedComplex) -> Subdivision:
     return Subdivision(OrientedComplex(K, tuple(sd_signs)), tuple(carriers))
 
 
+def is_connected(K: SimplicialComplex) -> bool:
+    adj = {}
+    for f in K.facets:
+        for a in f:
+            adj.setdefault(a, set()).update(u for u in f if u != a)
+    verts = set(adj)
+    seen = set()
+    stack = [next(iter(verts))]
+    while stack:
+        a = stack.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        stack.extend(adj[a] - seen)
+    return seen == verts
+
+
 def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     if K.dim > 3:
         raise NotClosedManifold("manifold validation supports dimension <= 3")
@@ -81,14 +103,14 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
             for p, v in enumerate(f):
                 links.setdefault(v, []).append(f[:p] + f[p + 1 :])
         links_ok = all(
-            link.is_connected() and link.euler_characteristic() == 2
+            is_connected(link) and link.euler_characteristic() == 2
             for link in (SimplicialComplex(K.num_vertices, f) for f in links.values())
         )
     return ManifoldReport(
         dim=K.dim,
         pure=True,
         closed=closed,
-        connected=K.is_connected(),
+        connected=is_connected(K),
         orientable=propagate_orientation(K) is not None if closed else False,
         euler=K.euler_characteristic(),
         links_ok=links_ok,

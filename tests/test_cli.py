@@ -416,6 +416,25 @@ def test_player_count_must_be_positive(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("frac-core", "--firm-cap", "-3"),
+        ("frac-core", "--firm-cap", "0"),
+        ("frac-core", "--node-cap", "-1"),
+        ("frac-core", "--node-cap", "0"),
+        ("core", "--node-cap", "0"),
+        ("game-balanced", "--firm-cap", "-1"),
+    ],
+)
+def test_caps_below_one_are_usage_errors(capsys, command, option, value):
+    # no game has fewer than one firm and no search fewer than one node, so
+    # such a cap can never be met
+    argv = [command, data_path("example2.json"), option, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {option} must be at least 1\n"
+
+
 def test_firm_vector_of_wrong_length(capsys, tmp_path):
     game = data_json("example2.json")
     game["firms"][1] = [1, 0]

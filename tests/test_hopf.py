@@ -55,6 +55,21 @@ def test_asset_is_homology_sphere():
         (2, [(0,), (1,)], (0, [])),
         # two disjoint circles
         (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], (2, [])),
+        # two disjoint tetrahedron boundaries
+        (
+            8,
+            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+             (4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)],
+            (0, []),
+        ),
+        # the 6-vertex projective plane beside a tetrahedron boundary
+        (
+            10,
+            [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+             (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+             (6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)],
+            (0, [2]),
+        ),
     ],
 )
 def test_first_homology_below_dimension_two(vertices, facets, homology):

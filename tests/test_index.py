@@ -1,4 +1,6 @@
+import random
 import re
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -203,3 +205,40 @@ def test_empty_component_rejected():
 def test_a_field_zero_on_a_grid_vertex_cannot_be_labelled():
     with pytest.raises(ValueError, match="zero field value"):
         plane_field_cover((1,), ((0, 0),), radius=2)
+
+
+# ---------------------------------------------------------------------------
+# balanced components against the depth-first reference
+# ---------------------------------------------------------------------------
+
+
+def _half(c):
+    return Q(2 * c + 1, 2)
+
+
+# (zero signs, zeros (x, y) at (x + 1/2, y + 1/2), radius, vertices given all
+# three labels); the widened vertices grow fans of balanced facets that merge
+# through shared vertices
+FIELD_CASES = [
+    ((1,), ((0, 0),), 3, ()),
+    ((1, -1), ((-3, 0), (2, 0)), 6, (40, 42, 100)),
+    ((1, 1, -1), ((-2, -2), (1, 1), (0, -3)), 4, (10, 30, 32, 60)),
+    ((1, -1), ((0, 0), (1, 0)), 3, (8, 16, 24)),
+    ((-1, -1, 1, 1), ((-2, -2), (1, -2), (-2, 1), (1, 1)), 4, (20, 22, 50)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FIELD_CASES)))
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_balanced_components_match_the_depth_first_reference(case, seed):
+    from reference_index import balanced_components as reference
+
+    signs, zeros, radius, wide = FIELD_CASES[case]
+    lc = plane_field_cover(signs, tuple((_half(x), _half(y)) for x, y in zeros), radius)
+    labels = [frozenset({0, 1, 2}) if v in wide else ls for v, ls in enumerate(lc.labels)]
+    oc = lc.oriented
+    if seed is not None:
+        n = oc.complex.num_vertices
+        oc, labels = relabel(oc, labels, random.Random(seed).sample(range(n), n))
+    lc = LabeledCover(oc, labels, lc.firm_system)
+    assert balanced_components(lc) == reference(lc)

@@ -2,14 +2,16 @@
 
 Usage (from the repository root):
 
-    python3 tools/pool_digest.py SRC WORKLOAD SEED [SEED ...] [--ops N]
+    python3 tools/pool_digest.py SRC WORKLOAD SEED [SEED ...]
 
-Generates each seed's pool with ``perfbench/gen.py``, runs every operation
-once through ``perfbench/workloads.py`` against the fraccore package under
-``SRC`` and hashes the canonical verdicts in order; a failing operation
-contributes its exception type and message.  Run it on two checkouts' ``src``
-directories with the same arguments: equal lines mean byte-identical
-verdicts.  Standard library only; nothing under ``perfbench/`` is changed.
+Generates each seed's pool with ``perfbench/gen.py``, as many operations as
+``perfbench/run.py`` generates for the workload (its ``POOL``), runs every
+operation once through ``perfbench/workloads.py`` against the fraccore
+package under ``SRC`` and hashes the canonical verdicts in order; a failing
+operation contributes its exception type and message.  Run it on two
+checkouts' ``src`` directories with the same arguments: equal lines mean
+byte-identical verdicts.  Standard library only; nothing under
+``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 import workloads  # noqa: E402
+from run import POOL  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -31,13 +34,12 @@ def main(argv=None) -> int:
     ap.add_argument("src", type=Path)
     ap.add_argument("workload", choices=sorted(gen.GENERATORS))
     ap.add_argument("seeds", type=int, nargs="+")
-    ap.add_argument("--ops", type=int, default=256, help="operations per pool")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     program = workloads.Program()
     run, verdict = workloads.RUNNERS[args.workload], workloads.VERDICTS[args.workload]
     for seed in args.seeds:
-        inputs, _ = gen.generate(args.workload, seed, args.ops)
+        inputs, _ = gen.generate(args.workload, seed, POOL[args.workload])
         doc = json.loads(gen.canonical({"workload": args.workload, "ops": inputs}))
         digest = hashlib.sha256()
         for item in workloads.parse(program, doc):
