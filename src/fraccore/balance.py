@@ -7,11 +7,13 @@ coalitions are the minimal balanced subsets of the coalition firm system,
 their weights rescaled.
 
 Balancedness depends only on the firm system, so each (firm system, mode)
-pair gets one memoized test, kept on the firm system.  A system takes an
-equal live system's tests on its first use, through a registry keyed by
-value that holds systems weakly: equal systems share one test while any of
-them lives, and no bound evicts one.  One rule decides a member set: the
-balancing LP that ``game_model`` builds, run once per set and remembered.
+pair gets one memoized test, kept in the firm system's derived data.  A
+system takes an equal live system's derived data on its first use, through
+a registry keyed by value that holds systems weakly: equal systems share
+one test while any of them lives, and no bound evicts one.  The same
+derived data keeps ``topology.degree``'s chordal maps.  One rule decides a
+member set: the balancing LP that ``game_model`` builds, run once per set
+and remembered.
 The minimal balanced subsets are found apart from it, each by one exact
 elimination, and their weights join the same memo.
 """
@@ -185,26 +187,33 @@ class BalanceTest:
         return self._minimal
 
 
-# a live firm system with tests, per firm system value
+# a live firm system with derived data, per firm system value
 _live = WeakValueDictionary()
 
 
-def balance_test(fs: FirmSystem, mode: str = "cone") -> BalanceTest:
-    """The memoized test of (fs, mode), kept on fs.
+def _derived(fs: FirmSystem) -> dict:
+    """The derived data of fs, kept on fs.
 
-    On its first use a system takes the tests of an equal live system, if
-    there is one, so equal systems share one test per mode while any of
-    them lives."""
-    tests = fs._tests
-    if tests is None:
+    On its first use a system takes the derived data of an equal live
+    system, if there is one, so equal systems share one dict while any of
+    them lives.  Each user keys its entries by a tuple that names it."""
+    derived = fs._derived
+    if derived is None:
         twin = _live.setdefault((fs.firms, fs.resource), fs)
-        if twin._tests is None:
-            object.__setattr__(twin, "_tests", {})
-        tests = twin._tests
-        object.__setattr__(fs, "_tests", tests)
-    test = tests.get(mode)
+        if twin._derived is None:
+            object.__setattr__(twin, "_derived", {})
+        derived = twin._derived
+        object.__setattr__(fs, "_derived", derived)
+    return derived
+
+
+def balance_test(fs: FirmSystem, mode: str = "cone") -> BalanceTest:
+    """The memoized test of (fs, mode), kept in fs's derived data, so equal
+    systems share one test per mode while any of them lives."""
+    derived = _derived(fs)
+    test = derived.get(("balance", mode))
     if test is None:
-        test = tests[mode] = BalanceTest(fs, mode)
+        test = derived[("balance", mode)] = BalanceTest(fs, mode)
     return test
 
 

@@ -194,6 +194,14 @@ class _Budget:
             raise CapExceeded("certificate search exceeded its node cap")
 
 
+def _check_caps(**caps):
+    """No search has fewer than one node and no game fewer than one firm,
+    so a cap below 1 is a bad argument, not a search that ran out."""
+    for name, cap in caps.items():
+        if cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
+
+
 def _lp_rows(utilities):
     """Each primitive's membership rows <a, x> <= b, per utility set: the
     half-space's integer row when its data are integers, else its
@@ -286,6 +294,7 @@ def fractional_core_solve(
     it, which comes earlier in that order, so the first subset with a point
     is always minimal.
     """
+    _check_caps(subset_cap=subset_cap, node_cap=node_cap)
     n = game.dim
     budget = _Budget(node_cap)
     membership = _lp_rows(game.utilities)
@@ -308,6 +317,7 @@ def core_solve(game: GeneralizedGame, node_cap: int = DEFAULT_NODE_CAP):
     so a core point raised by its distinguished uplift is still one, and it
     lies on that firm's boundary.
     """
+    _check_caps(node_cap=node_cap)
     if game.distinguished is None:
         raise ValueError("core_solve needs a distinguished firm")
     dist = (game.distinguished,)
@@ -332,6 +342,7 @@ def is_balanced_game(
     distinguished firm only if the larger one does, so the first violation
     is always found at a minimal subset.
     """
+    _check_caps(subset_cap=subset_cap)
     if game.distinguished is None:
         raise ValueError("is_balanced_game needs a distinguished firm")
     dist = game.distinguished

@@ -278,13 +278,15 @@ def _labels(utilities, p, d) -> frozenset:
 class FirmSystem:
     """Firm resource vectors in R^d plus the resource vector r.
 
-    ``_tests`` holds the system's balance tests per mode once
-    ``balance.balance_test`` has made them; it is derived data, so
-    equality, hashing and repr ignore it."""
+    ``_derived`` holds what is computed once per system value, under keys
+    that name their maker: the balance tests per mode
+    (``balance.balance_test``) and the chordal maps per sphere dimension
+    (``topology.degree.pl_degree``).  ``balance._derived`` lends it to
+    equal live systems.  Equality, hashing and repr ignore it."""
 
     firms: tuple
     resource: tuple
-    _tests: dict = field(default=None, init=False, repr=False, compare=False)
+    _derived: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "firms", tuple(vec(v) for v in self.firms))

@@ -7,7 +7,9 @@ position p is s*(-1)^p.  ``ridges_coherent`` is that rule over one
 ``ridges()`` map, so a caller that also checks closedness builds the map once.
 ``validate_closed_manifold`` reads closedness and orientability off one such
 map, and checks each vertex link of a 3-complex from face counts instead of
-building the link as a complex.  One union-find, ``_classes``, answers every
+building the link as a complex.  Each complex builds its face table
+(``all_faces()``) once, on first use, and keeps it read-only for every
+reader.  One union-find, ``_classes``, answers every
 connectivity question: whether a complex or each vertex link is connected,
 the components of balanced facets (``index``) and rank d1 = #vertices -
 #components (``hopf``).
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from operator import itemgetter
+from types import MappingProxyType
 
 from ..errors import NotClosedManifold
 
@@ -67,16 +70,19 @@ class SimplicialComplex:
         return out
 
     def all_faces(self):
-        """Map dimension -> set of faces (downward closure)."""
-        out = {d: set() for d in range(self.dim + 1)}
-        for f in self.facets:
-            for d in range(self.dim + 1):
-                for face in combinations(f, d + 1):
-                    out[d].add(face)
-        return out
+        """Map dimension -> frozenset of faces (downward closure).  The
+        table is built on first use and kept, read-only, so every caller on
+        this complex shares one."""
+        return self._faces
 
-    def euler_characteristic(self) -> int:
-        return _euler(self.all_faces())
+    @cached_property
+    def _faces(self):
+        return MappingProxyType(
+            {
+                d: frozenset(face for f in self.facets for face in combinations(f, d + 1))
+                for d in range(self.dim + 1)
+            }
+        )
 
     def is_connected(self) -> bool:
         return len(set(_classes(self.facets).values())) == 1

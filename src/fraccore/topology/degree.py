@@ -6,6 +6,12 @@ resource is computed by exact signed ray crossing in affine-hull
 coordinates.  A facet whose labels already admit convex balancing weights
 means the chordal image hits the resource and no degree exists; that facet
 is returned instead.
+
+The firm coordinates and each facet's crossing depend only on the firm
+system, the sphere dimension k, the ray and the facet's ordered tuple of
+chosen labels.  So they are kept per (firm system, k) in the system's
+derived data, shared by equal live systems as its balance tests are, and
+every cover over that system reads them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
-from ..balance import balance_test
+from ..balance import _derived, balance_test
 from ..errors import CapExceeded, DimensionMismatch, NotClosedManifold
 from ..game_model import FirmSystem, GeneralizedGame, _labels
 from ..linalg import _clear_denominators, _reduce
@@ -97,6 +103,23 @@ def _crossing(cols, ray):
     return None
 
 
+def _chordal_map(fs: FirmSystem, k: int):
+    """The (firm system, k) chordal map, kept in fs's derived data: the
+    firm coordinates, cleared to integers by one positive common factor,
+    and per ray tried a memo from ordered label tuple to its crossing.  A
+    span of the wrong dimension stores nothing and raises every time.
+    Concurrent callers may compute an entry twice; they store the same
+    value."""
+    derived = _derived(fs)
+    chordal = derived.get(("chordal", k))
+    if chordal is None:
+        coords = _affine_coordinates(fs, k)
+        ints, _ = _clear_denominators([c for col in coords for c in col])
+        coords = [tuple(ints[i : i + k + 1]) for i in range(0, len(ints), k + 1)]
+        chordal = derived[("chordal", k)] = (coords, {})
+    return chordal
+
+
 def _ray_candidates(k: int):
     s = 2
     while True:
@@ -120,8 +143,10 @@ def pl_degree(lc: LabeledCover):
     Closedness and coherence are read off one ``ridges()`` map.  A facet's
     balance and crossing depend only on its ordered tuple of chosen labels,
     so the balance scan tests each distinct tuple once, in the order the
-    facets first reach them (which returns the first balanced facet), and
-    each ray reduces once per distinct tuple and looks the rest up.
+    facets first reach them (which returns the first balanced facet).  The
+    coordinates and the crossings are read from the chordal map kept per
+    (firm system, k): each ray reduces once per distinct tuple over all the
+    covers of equal live systems, and looks the rest up.
     """
     oc = lc.oriented
     K = oc.complex
@@ -131,9 +156,7 @@ def pl_degree(lc: LabeledCover):
     if not ridges_coherent(oc.orientation, incidences):
         raise NotClosedManifold("orientation is not coherent")
     k = K.dim
-    coords = _affine_coordinates(lc.firm_system, k)
-    ints, _ = _clear_denominators([c for col in coords for c in col])
-    coords = [tuple(ints[i : i + k + 1]) for i in range(0, len(ints), k + 1)]
+    coords, crossings_per_ray = _chordal_map(lc.firm_system, k)
     chosen = [min(ls) for ls in lc.labels]
     facet_labels = [tuple([chosen[u] for u in facet]) for facet in K.facets]
     balanced = balance_test(lc.firm_system, "convex")
@@ -148,7 +171,7 @@ def pl_degree(lc: LabeledCover):
     # +1; in the greedy difference basis that costs a factor (-1)^(k+1)
     normalizer = (-1) ** (k + 1)
     for ray in _ray_candidates(k):
-        crossings = {}
+        crossings = crossings_per_ray.setdefault(ray, {})
         total = 0
         for labels, sign in zip(facet_labels, oc.orientation):
             if labels not in crossings:

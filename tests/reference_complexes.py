@@ -9,9 +9,12 @@ permutation and by the sort of its vertex ids, both computed per flag.  It
 must return exactly the ``Subdivision`` the library returns.
 
 ``validate_closed_manifold`` builds each vertex link of a closed 3-complex
-as a ``SimplicialComplex`` and asks it ``euler_characteristic()`` and
+as a ``SimplicialComplex`` and asks ``euler_characteristic`` and
 ``is_connected`` below, as the library did before it read the links off
 face counts.  It must return exactly the library's ``ManifoldReport``.
+
+``euler_characteristic`` counts the distinct faces of each size itself, so
+it shares no face table with the library.
 
 ``is_connected`` is the depth-first search over per-vertex adjacency sets
 that ``SimplicialComplex.is_connected`` ran before the library answered
@@ -21,7 +24,7 @@ connectivity code with the library it checks.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from fraccore.errors import NotClosedManifold
 from fraccore.topology.complexes import (
@@ -92,6 +95,13 @@ def is_connected(K: SimplicialComplex) -> bool:
     return seen == verts
 
 
+def euler_characteristic(K: SimplicialComplex) -> int:
+    return sum(
+        (-1) ** (size - 1) * len({face for f in K.facets for face in combinations(f, size)})
+        for size in range(1, K.dim + 2)
+    )
+
+
 def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
     if K.dim > 3:
         raise NotClosedManifold("manifold validation supports dimension <= 3")
@@ -103,7 +113,7 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
             for p, v in enumerate(f):
                 links.setdefault(v, []).append(f[:p] + f[p + 1 :])
         links_ok = all(
-            is_connected(link) and link.euler_characteristic() == 2
+            is_connected(link) and euler_characteristic(link) == 2
             for link in (SimplicialComplex(K.num_vertices, f) for f in links.values())
         )
     return ManifoldReport(
@@ -112,6 +122,6 @@ def validate_closed_manifold(K: SimplicialComplex) -> ManifoldReport:
         closed=closed,
         connected=is_connected(K),
         orientable=propagate_orientation(K) is not None if closed else False,
-        euler=K.euler_characteristic(),
+        euler=euler_characteristic(K),
         links_ok=links_ok,
     )

@@ -8,8 +8,9 @@ firm.  The cube boundary builds its positions from explicit frame vectors
 and signs the square's cycle by hand.  The subdivision carries ``Fraction``
 barycentres level by level over the per-permutation subdivision of
 ``reference_complexes``, where ``degree`` keeps integer numerators over one
-common denominator.  The degree takes one crossing per facet per ray, where
-``pl_degree`` takes one per distinct ordered label tuple per ray, and its
+common denominator.  The degree computes the coordinates and one crossing
+per facet per ray on every call, where ``pl_degree`` keeps both per firm
+system and reduces once per distinct ordered label tuple per ray, and its
 balance scan tests every facet in turn.  The balanced facets solve one
 balancing LP per facet, where ``_balanced_facets`` tests each distinct
 ordered tuple of vertex labels once.  Every function here must return

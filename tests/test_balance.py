@@ -399,7 +399,7 @@ def test_tests_live_as_long_as_their_systems():
     test = balance_test(fs)
     assert test.minimal() == ((0, 1),) and balance._live[key] is fs
     twin = FirmSystem(firms=((7, 1), (1, 7)), resource=(8, 8))
-    assert balance_test(twin) is test and twin._tests is fs._tests
+    assert balance_test(twin) is test and twin._derived is fs._derived
     system = weakref.ref(fs)
     del fs, test, twin
     gc.collect()
@@ -407,6 +407,43 @@ def test_tests_live_as_long_as_their_systems():
     fresh = FirmSystem(firms=((7, 1), (1, 7)), resource=(8, 8))
     assert balance._live.get(key) is None
     assert balance_test(fresh).fs is fresh
+
+
+def test_chordal_maps_live_as_long_as_their_systems(monkeypatch):
+    # pl_degree keeps its chordal map in the derived data the registry lends,
+    # so the map dies with the last equal system and a new one reduces again
+    from fraccore.topology import degree
+    from fraccore.topology.complexes import simplex_boundary
+
+    reductions = []
+    reduce = degree._reduce
+
+    def counting(rows, width):
+        reductions.append(width)
+        return reduce(rows, width)
+
+    monkeypatch.setattr(degree, "_reduce", counting)
+
+    def degree_of(fs):
+        cover = degree.LabeledCover(simplex_boundary(2), [{0}, {1}, {2}], fs)
+        reductions.clear()
+        value = degree.pl_degree(cover)
+        return value, len(reductions)
+
+    def system():
+        return FirmSystem(firms=((5, 0), (0, 5), (-5, -5)), resource=(1, 1))
+
+    fs = system()
+    key = (fs.firms, fs.resource)
+    # the coordinates, then one crossing per facet on the first ray
+    assert degree_of(fs) == (degree.Degree(1), 4)
+    twin = system()
+    assert degree_of(twin) == (degree.Degree(1), 0) and twin._derived is fs._derived
+    alive = weakref.ref(fs)
+    del fs, twin
+    gc.collect()
+    assert alive() is None and key not in balance._live
+    assert degree_of(system()) == (degree.Degree(1), 4)
 
 
 def test_first_uses_racing_in_threads_agree():

@@ -1,5 +1,7 @@
 import random
 from functools import cache
+from unittest import mock
+from weakref import WeakValueDictionary
 
 import pytest
 from hypothesis import given, settings
@@ -559,6 +561,13 @@ def test_affine_coordinates_match_affine_basis_and_per_firm_solves(case):
     )
 
 
+def _over_a_fresh_system(lc):
+    """The cover over a new firm system equal to its own, which has no
+    derived data yet."""
+    fs = lc.firm_system
+    return LabeledCover(lc.oriented, lc.labels, FirmSystem(firms=fs.firms, resource=fs.resource))
+
+
 def ray_on_image_cover():
     fs = FirmSystem(firms=[(1, 0), (0, 1), (-1, -2)], resource=(0, 0))
     return LabeledCover(simplex_boundary(2), [frozenset({i}) for i in range(3)], fs)
@@ -582,12 +591,14 @@ def ray_on_image_cover():
     ids=["identity-1", "identity-2", "identity-3", "sperner", "retry", "balanced"],
 )
 def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
-    # the name predates the per-ray memo: a facet whose ordered label tuple
-    # an earlier facet had reuses that facet's reduction
-    from fraccore import linalg
+    # the name predates the chordal map kept per firm system: a facet whose
+    # ordered label tuple an earlier facet had, in this cover or in one over
+    # an equal live system, reuses that facet's reduction
+    from fraccore import balance, linalg
     from fraccore.topology import degree
 
-    lc = cover()
+    monkeypatch.setattr(balance, "_live", WeakValueDictionary())
+    lc = _over_a_fresh_system(cover())
     calls = []
     reduce = linalg._reduce
 
@@ -597,10 +608,15 @@ def test_pl_degree_reduces_once_per_facet_per_ray(monkeypatch, cover, tried):
 
     monkeypatch.setattr(linalg, "_reduce", counting)
     monkeypatch.setattr(degree, "_reduce", counting, raising=False)
-    pl_degree(lc)
-    # one reduction for the firm coordinates, then one per distinct ordered
-    # chosen-label tuple per ray tried
+    first = pl_degree(lc)
+    # on a system no live system equals: one reduction for the firm
+    # coordinates, then one per distinct ordered chosen-label tuple per ray
+    # tried
     assert len(calls) == 1 + tried
+    # an equal but distinct system reads all of them from the shared map
+    twin = _over_a_fresh_system(lc)
+    assert twin.firm_system is not lc.firm_system
+    assert pl_degree(twin) == first and len(calls) == 1 + tried
 
 
 @st.composite
@@ -682,6 +698,96 @@ def test_a_label_on_the_first_ray_forces_a_retry():
     expected, tried = reference_degree.pl_degree(lc)
     assert tried > 1 and isinstance(expected, Degree)
     assert pl_degree(lc) == expected
+
+
+def _reference_or_error(lc):
+    import reference_degree
+
+    try:
+        return reference_degree.pl_degree(lc)[0]
+    except (DimensionMismatch, NotClosedManifold) as exc:
+        return type(exc)
+
+
+def _assert_cold_and_warm_match_the_reference(lc, perm):
+    """pl_degree on a system no live system equals, again on it, and on a
+    relabelled copy over an equal system, against the reference loop."""
+    from fraccore import balance
+
+    with mock.patch.object(balance, "_live", WeakValueDictionary()):
+        cold = _over_a_fresh_system(lc)
+        moved = relabel_cover(_over_a_fresh_system(lc), perm)
+        got = [_degree_or_error(cold), _degree_or_error(cold), _degree_or_error(moved)]
+    expected = _reference_or_error(cold)
+    assert got == [expected, expected, _reference_or_error(moved)]
+
+
+@given(ray_prone_covers(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pl_degree_cold_and_warm_match_the_reference(case, data):
+    lc, _ = case
+    perm = data.draw(st.permutations(range(lc.oriented.complex.num_vertices)))
+    _assert_cold_and_warm_match_the_reference(lc, perm)
+
+
+@pytest.mark.parametrize("index", range(len(_fixture_covers())))
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_pl_degree_cold_and_warm_match_the_reference_on_fixture_covers(index, data):
+    lc = _fixture_covers()[index]
+    perm = data.draw(st.permutations(range(lc.oriented.complex.num_vertices)))
+    _assert_cold_and_warm_match_the_reference(lc, perm)
+
+
+def test_first_uses_of_a_chordal_map_racing_in_threads_agree(monkeypatch):
+    # threads that take up equal new systems at once may each reduce an
+    # entry and store it; every degree still equals the reference loop's
+    import sys
+    import threading
+
+    import reference_degree
+
+    from fraccore import balance
+
+    monkeypatch.setattr(balance, "_live", WeakValueDictionary())
+    covers = [ray_on_image_cover(), _fixture_covers()[3]]
+    expected = [reference_degree.pl_degree(lc)[0] for lc in covers]
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append([pl_degree(_over_a_fresh_system(lc)) for lc in covers])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert results == [expected] * 8
+
+
+def test_a_dimension_mismatch_stores_nothing_and_the_right_dimension_succeeds(monkeypatch):
+    from fraccore import balance
+
+    monkeypatch.setattr(balance, "_live", WeakValueDictionary())
+    fs = unit_firms(3)  # a span of dimension 2: degrees of 1-manifolds only
+    wrong = LabeledCover(simplex_boundary(3), [{0}, {1}, {2}, {0}], fs)
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="need 3"):
+            pl_degree(wrong)
+        assert ("chordal", 2) not in fs._derived
+    right = LabeledCover(simplex_boundary(2), [{0}, {1}, {2}], fs)
+    assert pl_degree(right) == Degree(1) and ("chordal", 1) in fs._derived
+    with pytest.raises(DimensionMismatch, match="need 3"):
+        pl_degree(wrong)
 
 
 @pytest.mark.parametrize(
@@ -852,6 +958,8 @@ def _cube_game(n):
     ],
 )
 def test_induced_cube_labeling_is_a_closed_coherent_boundary(n, center, halfwidth, depth):
+    import reference_complexes
+
     from fraccore.game_model import cover_labels
     from fraccore.topology.degree import _cube_boundary_grid
 
@@ -864,7 +972,7 @@ def test_induced_cube_labeling_is_a_closed_coherent_boundary(n, center, halfwidt
     assert K.dim == d - 1
     assert all(len(inc) == 2 for inc in K.ridges().values())
     assert K.is_connected() and lc.oriented.coherent()
-    assert K.euler_characteristic() == (0 if d == 2 else 2)
+    assert reference_complexes.euler_characteristic(K) == (0 if d == 2 else 2)
     # every labeled position lies on the cube's boundary: its frame
     # coefficients are in [-1, 1] with one at +-1, and the frame e_i - e_last
     # keeps the coordinate sum

@@ -413,9 +413,27 @@ def test_embedded_ntu_always_has_fractional_core_quick():
 
 
 def test_node_cap_raises():
+    # a search that runs out after its one node; a cap below 1 is rejected
+    # as an argument, below
     game = embed_coalitional(loss_sharing_tu_modified())
     with pytest.raises(CapExceeded):
-        fractional_core_solve(game, node_cap=0)
+        fractional_core_solve(game, node_cap=1)
+
+
+@pytest.mark.parametrize(
+    "solve, caps, name",
+    [
+        (fractional_core_solve, {"subset_cap": -3}, "subset_cap"),
+        (fractional_core_solve, {"node_cap": 0}, "node_cap"),
+        (core_solve, {"node_cap": 0}, "node_cap"),
+        (is_balanced_game, {"subset_cap": 0}, "subset_cap"),
+    ],
+    ids=["frac-subset", "frac-node", "core-node", "balanced-subset"],
+)
+def test_caps_below_one_are_bad_arguments(solve, caps, name):
+    game = embed_coalitional(loss_sharing_tu_modified())
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {caps[name]}"):
+        solve(game, **caps)
 
 
 def test_solver_determinism():
@@ -451,7 +469,10 @@ def test_nonzero_region_degree_implies_nonempty():
     if isinstance(res, Degree) and res.value != 0:
         assert isinstance(fractional_core_solve(game), Nonempty)
     else:
-        # a balanced simplex on the boundary also witnesses nonemptiness
+        # a balanced simplex on the boundary does not witness nonemptiness
+        # in general (a balanced rim facet can join two complementary
+        # coalitions whose sets share no point); this game's core is
+        # nonempty all the same
         assert isinstance(fractional_core_solve(game), Nonempty)
 
 

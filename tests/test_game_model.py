@@ -503,13 +503,13 @@ def test_game_mappings_are_read_only():
 
 def test_firm_system_equality_and_hash_ignore_its_tests():
     fs = FirmSystem(firms=((1, 0), (Q(1, 2), 1)), resource=(1, 1))
-    assert fs._tests is None
+    assert fs._derived is None
     assert hash(fs) == hash((fs.firms, fs.resource))
     balance_test(fs)
-    assert fs._tests
+    assert fs._derived
     same = FirmSystem(firms=((1, 0), (Q(1, 2), 1)), resource=(1, 1))
     assert same == fs and hash(same) == hash(fs)
-    assert repr(same) == repr(fs) and "_tests" not in repr(fs)
+    assert repr(same) == repr(fs) and "_derived" not in repr(fs)
     assert fs != FirmSystem(firms=((1, 0), (Q(1, 2), 1)), resource=(1, 2))
 
 

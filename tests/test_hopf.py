@@ -81,6 +81,29 @@ def test_asset_hopf_invariant_is_one():
     assert hopf_invariant(oc, coloring) == 1
 
 
+def test_one_homology_and_invariant_pair_builds_the_face_table_once(monkeypatch):
+    from fraccore.topology import complexes
+
+    oc = propagate_orientation(SimplicialComplex(12, FACETS))
+    K = oc.complex
+    calls = []
+    combinations = complexes.combinations
+
+    def counting(facet, size):
+        calls.append(size)
+        return combinations(facet, size)
+
+    monkeypatch.setattr(complexes, "combinations", counting)
+    assert first_homology(K) == (0, [])
+    assert hopf_invariant(oc, COLORING) == 1
+    # one build: one call per facet per face dimension, for three readers
+    assert len(calls) == len(K.facets) * (K.dim + 1)
+    faces = K.all_faces()
+    assert faces is K.all_faces() and {type(f) for f in faces.values()} == {frozenset}
+    with pytest.raises(TypeError):
+        faces[0] = frozenset()
+
+
 def test_orientation_reversal_negates_invariant():
     oc, coloring = load()
     assert hopf_invariant(oc.reversed(), coloring) == -1

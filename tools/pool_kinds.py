@@ -7,14 +7,17 @@ Usage (from the repository root):
 Generates the seed's pool with ``perfbench/gen.py``, as many operations as
 ``perfbench/run.py`` generates for the workload (its ``POOL``), and runs
 it through ``perfbench/workloads.py`` against the fraccore package under
-``SRC``: once to fill every memo, then four timed passes.  As in
+``SRC``: once to fill every memo, then four warm passes.  As in
 ``perfbench/run.py``, each operation's CPU time follows a
 ``calibrate.reference()`` reading and is scaled to reference seconds by
 the readings around it.  Prints one JSON line: throughput, p50 and p90
-latency over the timed operations, and the reference milliseconds one
-pass spends on each operation kind.  Run it alternately on two
-checkouts' ``src`` directories to see which kind of operation a change
-moved; ``run.py`` and its tracer report layers, not kinds.  Standard library only; nothing under ``perfbench/`` is changed.
+latency over the warm operations, the reference milliseconds one warm
+pass spends on each operation kind (``pool_ms``), and the same for the
+first, cold pass (``cold_pool_ms``), which fills the memos and so shows
+what they cost a caller that runs each operation once.  Run it
+alternately on two checkouts' ``src`` directories to see which kind of
+operation a change moved; ``run.py`` and its tracer report layers, not
+kinds.  Standard library only; nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -57,20 +60,27 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    for item in parsed:
-        one(item)
-    raw, refs, failed = [], [], 0
-    for _ in range(PASSES):
-        for item in parsed:
-            refs.append(calibrate.reference())
-            t0 = time.process_time()
-            failed += one(item)
-            raw.append(time.process_time() - t0)
-    lat = [t * f for t, f in zip(raw, calibrate.factors(refs))]
-    per_kind = {}
-    for i, t in enumerate(lat):
-        kind = kinds[i % len(parsed)]
-        per_kind[kind] = per_kind.get(kind, 0.0) + t
+    def timed(passes):
+        """Reference seconds per operation over ``passes`` passes, and the
+        number of failed operations."""
+        raw, refs, failed = [], [], 0
+        for _ in range(passes):
+            for item in parsed:
+                refs.append(calibrate.reference())
+                t0 = time.process_time()
+                failed += one(item)
+                raw.append(time.process_time() - t0)
+        return [t * f for t, f in zip(raw, calibrate.factors(refs))], failed
+
+    def by_kind(lat, passes):
+        per_kind = {}
+        for i, t in enumerate(lat):
+            kind = kinds[i % len(parsed)]
+            per_kind[kind] = per_kind.get(kind, 0.0) + t
+        return {k: round(v * 1e3 / passes, 2) for k, v in sorted(per_kind.items())}
+
+    cold, _ = timed(1)
+    lat, failed = timed(PASSES)
     print(json.dumps({
         "src": str(args.src),
         "workload": args.workload,
@@ -80,7 +90,8 @@ def main(argv=None) -> int:
         "throughput_ops_s": round(len(lat) / sum(lat), 2),
         "latency_p50_ms": round(statistics.median(lat) * 1e3, 4),
         "latency_p90_ms": round(statistics.quantiles(lat, n=10)[-1] * 1e3, 4),
-        "pool_ms": {k: round(v * 1e3 / PASSES, 2) for k, v in sorted(per_kind.items())},
+        "pool_ms": by_kind(lat, PASSES),
+        "cold_pool_ms": by_kind(cold, 1),
     }))
     return 0
 
