@@ -505,17 +505,3 @@ class CoalitionalNTUGame:
         missing = [c for c in coalitions(self.n) if c not in fixed]
         if missing:
             raise ValueError(f"missing coalition sets: {len(missing)}, the first {missing[0]}")
-
-    def bounded_above(self) -> bool:
-        """Each V(S) cut to the nonnegative orthant must be bounded.
-
-        There x >= 0 and every normal is >= 0, so a primitive is empty
-        exactly when some offset is < 0 (else it holds 0), and a nonempty
-        one is bounded exactly when each coordinate j has a half-space with
-        normal[j] > 0 (else it holds every t * e_j with t >= 0)."""
-        return all(
-            any(h.offset < ZERO for h in p.halfspaces)
-            or all(any(h.normal[j] > ZERO for h in p.halfspaces) for j in range(p.dim))
-            for cs in self.sets.values()
-            for p in cs.primitives
-        )

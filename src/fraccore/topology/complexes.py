@@ -9,10 +9,10 @@ position p is s*(-1)^p.  ``ridges_coherent`` is that rule over one
 map, and checks each vertex link of a 3-complex from face counts instead of
 building the link as a complex.  Each complex builds its face table
 (``all_faces()``) once, on first use, and keeps it read-only for every
-reader.  One union-find, ``_classes``, answers every
-connectivity question: whether a complex or each vertex link is connected,
-the components of balanced facets (``index``) and rank d1 = #vertices -
-#components (``hopf``).
+reader; so too its coboundary of 1-cochains, reduced once for ``hopf``.
+One union-find, ``_classes``, answers every connectivity question: whether
+a complex or each vertex link is connected, the components of balanced
+facets (``index``) and rank d1 = #vertices - #components (``hopf``).
 
 Barycentric subdivision reads each facet off a flag table per facet size k,
 built once: the k positions' 2^k - 1 faces in the order the permutations of
@@ -32,6 +32,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from ..errors import NotClosedManifold
+from .intlinalg import _diagonalize
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,17 @@ class SimplicialComplex:
                 for d in range(self.dim + 1)
             }
         )
+
+    @cached_property
+    def _coboundary(self):
+        """The edge index, the sorted triangles and ``_diagonalize``'s log of
+        the coboundary of 1-cochains, the transpose of d2: one sparse row per
+        triangle (a, b, c), (delta beta)(a, b, c) = beta(b, c) - beta(a, c)
+        + beta(a, b)."""
+        eid = {e: i for i, e in enumerate(sorted(self._faces.get(1, ())))}
+        tris = sorted(self._faces.get(2, ()))
+        rows = [{eid[(a, b)]: 1, eid[(a, c)]: -1, eid[(b, c)]: 1} for a, b, c in tris]
+        return eid, tris, _diagonalize(rows)
 
     def is_connected(self) -> bool:
         return len(set(_classes(self.facets).values())) == 1

@@ -10,14 +10,16 @@ own primitive instead would add the Steenrod term alpha cup_1 alpha, which
 does not vanish on a chain and makes the value depend on the vertex
 numbering.  The term alpha_1 cup_1 alpha_2 does vanish: no facet maps onto
 all four target vertices, so the nonzero faces of a facet all map to one
-triangle.
+triangle.  ``first_homology`` and ``hopf_invariant`` read the one
+coboundary each complex keeps, reduced once: the homology off its pivots,
+beta_1 by replaying its row log on alpha_1.
 """
 
 from __future__ import annotations
 
 from ..errors import CoboundaryUnsolvable, NotSimplicial, NotSphere
 from .complexes import OrientedComplex, _classes, _perm_sign, validate_closed_manifold
-from .intlinalg import smith_normal_form, solve_integer
+from .intlinalg import _invariant_factors, _solve
 
 
 def _pullback(triangles, vertex_map, target):
@@ -32,45 +34,29 @@ def _pullback(triangles, vertex_map, target):
     return value
 
 
-def _coboundary_rows(eid, tris):
-    """The coboundary of 1-cochains: one row per triangle (a, b, c), one
-    column per edge, with (delta beta)(a, b, c) = beta(b, c) - beta(a, c)
-    + beta(a, b).  It is the transpose of the boundary map d2."""
-    rows = []
-    for a, b, c in tris:
-        row = [0] * len(eid)
-        row[eid[(b, c)]] += 1
-        row[eid[(a, c)]] -= 1
-        row[eid[(a, b)]] += 1
-        rows.append(row)
-    return rows
-
-
 def first_homology(K):
     """(first Betti number, torsion coefficients) over the integers.
 
     rank d1 = #vertices - #components, the vertices that ``_classes`` over
     the facets does not take as representatives.  d2 and its transpose have
-    the same invariant factors, so they are read off the coboundary rows.  A
-    complex of dimension below 2 has no triangles, so no such rows, and one
-    of dimension 0 has no edges."""
-    faces = K.all_faces()
-    edges = sorted(faces.get(1, ()))
-    eid = {e: i for i, e in enumerate(edges)}
+    the same invariant factors, so they are read off the pivots of the
+    complex's reduced coboundary.  A complex of dimension below 2 has no
+    triangles, so no pivots, and one of dimension 0 has no edges."""
+    eid, _, (pivots, _, _) = K._coboundary
     rank_d1 = sum(1 for v, root in _classes(K.facets).items() if v != root)
-    factors = smith_normal_form(_coboundary_rows(eid, sorted(faces.get(2, ()))))
-    betti = len(edges) - rank_d1 - sum(1 for d in factors if d)
-    return betti, [d for d in factors if d > 1]
+    betti = len(eid) - rank_d1 - len(pivots)
+    return betti, [d for d in _invariant_factors(pivots) if d > 1]
 
 
 def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
     """Exact Hopf invariant of the simplicial map given by ``vertex_map``
-    (vertex index -> target vertex in 0..3).
+    (vertex index -> target vertex, an int in 0..3).
 
     Raises NotSphere when the complex fails the 3-sphere combinatorial
-    checks, NotSimplicial when some facet carries four distinct target
-    vertices, CoboundaryUnsolvable when the pullback is not an integral
-    coboundary (second cohomology nonzero, so not a homology sphere).
+    checks, NotSimplicial when the map is not one such int per vertex or
+    some facet carries four distinct target vertices, CoboundaryUnsolvable
+    when the pullback is not an integral coboundary (second cohomology
+    nonzero, so not a homology sphere).
     """
     K = oc.complex
     if K.dim != 3:
@@ -82,21 +68,20 @@ def hopf_invariant(oc: OrientedComplex, vertex_map) -> int:
         raise NotSphere("complex fails the sphere checks (vertex links)")
     if not oc.coherent():
         raise NotSphere("orientation is not coherent")
-    vertex_map = tuple(int(vertex_map[v]) for v in range(K.num_vertices))
-    if any(t < 0 or t > 3 for t in vertex_map):
+    vertex_map = tuple(vertex_map)
+    if len(vertex_map) != K.num_vertices:
+        raise NotSimplicial(f"vertex map has {len(vertex_map)} entries, not {K.num_vertices}")
+    if any(type(t) is not int or t < 0 or t > 3 for t in vertex_map):
         raise NotSimplicial("vertex map must land in the four target vertices")
     for facet in K.facets:
         if len({vertex_map[v] for v in facet}) == 4:
             raise NotSimplicial(
                 f"facet {facet} maps onto all four target vertices"
             )
-    faces = K.all_faces()
-    edges = sorted(faces[1])
-    tris = sorted(faces[2])
+    eid, tris, reduction = K._coboundary
     alpha1 = _pullback(tris, vertex_map, (1, 2, 3))
     alpha2 = _pullback(tris, vertex_map, (0, 1, 2))
-    eid = {e: i for i, e in enumerate(edges)}
-    beta1 = solve_integer(_coboundary_rows(eid, tris), [alpha1[tri] for tri in tris])
+    beta1 = _solve(reduction, len(eid), [alpha1[tri] for tri in tris])
     if beta1 is None:
         raise CoboundaryUnsolvable(
             "pullback cocycle is not an integral coboundary (H^2 != 0)"

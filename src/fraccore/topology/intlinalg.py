@@ -7,9 +7,10 @@ of the column with the fewest entries.  Row operations with floor quotients
 clear its column; column operations clear its row.  A remainder that
 survives becomes the next pivot, so |pivot| strictly falls, as in Euclid's
 algorithm, and a unit pivot is done in one pass.  The result is U A V with
-one nonzero entry per pivot row and column, U and V unimodular: U is
-applied to a right-hand side as the rows are reduced, and V is kept as a
-log of column operations.
+one nonzero entry per pivot row and column, U and V unimodular, each kept
+as a log of its operations.  So one reduction, with no right-hand side,
+gives the invariant factors, the rank and, by replaying the row log on any
+right-hand side (``_solve``), an integer solution.
 """
 
 from __future__ import annotations
@@ -17,20 +18,19 @@ from __future__ import annotations
 from math import gcd
 
 
-def _diagonalize(matrix, rhs=None):
-    """Reduce ``matrix`` to one entry per pivot row and column.
+def _diagonalize(rows):
+    """Reduce the sparse rows ``{column: entry}``, in place, to one entry
+    per pivot row and column.
 
-    Returns ``(pivots, b, log)``: the pivots ``(r, c, p)``, the reduced
-    right-hand side ``b`` (U rhs, zeros if ``rhs`` is None) and the column
-    operations ``(j, c, q)``, each meaning col j -= q * col c, in order.
+    Returns ``(pivots, row_log, col_log)``: the pivots ``(r, c, p)`` and,
+    in order, the row operations ``(i, r, q)``, row i -= q * row r, and the
+    column operations ``(j, c, q)``, col j -= q * col c.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-    b = list(rhs) if rhs is not None else [0] * len(rows)
     cols = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
-    pivots, log = [], []
+    pivots, row_log, col_log = [], [], []
     while cols:
         c = min(cols, key=lambda j: len(cols[j]))
         while True:
@@ -48,7 +48,7 @@ def _diagonalize(matrix, rhs=None):
                     else:
                         del row[j]
                         cols[j].remove(i)
-                b[i] -= q * b[r]
+                row_log.append((i, r, q))
             if len(cols[c]) > 1:
                 continue  # a remainder is the next pivot
             # column c holds only the pivot, so col j -= q * col c
@@ -57,7 +57,7 @@ def _diagonalize(matrix, rhs=None):
                 q = pivot_row[j] // p
                 if not q:
                     continue
-                log.append((j, c, q))
+                col_log.append((j, c, q))
                 y = pivot_row[j] - q * p
                 if y:
                     pivot_row[j] = y
@@ -71,15 +71,16 @@ def _diagonalize(matrix, rhs=None):
             c = min((j for j in pivot_row if j != c), key=lambda j: abs(pivot_row[j]))
         pivots.append((r, c, p))
         del cols[c]
-    return pivots, b, log
+    return pivots, row_log, col_log
 
 
-def smith_normal_form(matrix):
-    """The invariant factors of an integer matrix: min(m, n) nonnegative
-    integers, each dividing the next, nonzero ones first."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    pivots, _, _ = _diagonalize(matrix)
+def _reduced(matrix):
+    """``_diagonalize`` of a dense matrix's nonzero entries."""
+    return _diagonalize([{j: x for j, x in enumerate(row) if x} for row in matrix])
+
+
+def _invariant_factors(pivots):
+    """The nonzero invariant factors off the pivots, each dividing the next."""
     units = [1 for _, _, p in pivots if abs(p) == 1]
     chain = [abs(p) for _, _, p in pivots if abs(p) != 1]
     # diag(a, b) and diag(gcd, lcm) are equivalent over the integers
@@ -87,13 +88,15 @@ def smith_normal_form(matrix):
         for j in range(i + 1, len(chain)):
             g = gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] * chain[j] // g
-    return units + chain + [0] * (min(m, n) - len(pivots))
+    return units + chain
 
 
-def solve_integer(matrix, rhs):
-    """An integer solution of A x = b, or None."""
-    n = len(matrix[0]) if matrix else 0
-    pivots, b, log = _diagonalize(matrix, rhs)
+def _solve(reduction, n, rhs):
+    """An integer x of length n with A x = rhs, A the reduced matrix, or None."""
+    pivots, row_log, col_log = reduction
+    b = list(rhs)
+    for i, r, q in row_log:
+        b[i] -= q * b[r]
     x = [0] * n
     for r, c, p in pivots:
         if b[r] % p:
@@ -101,10 +104,23 @@ def solve_integer(matrix, rhs):
         x[c], b[r] = b[r] // p, 0
     if any(b):
         return None
-    for j, c, q in reversed(log):
+    for j, c, q in reversed(col_log):
         x[c] -= q * x[j]
     return x
 
 
+def smith_normal_form(matrix):
+    """The invariant factors of an integer matrix: min(m, n) nonnegative
+    integers, each dividing the next, nonzero ones first."""
+    pivots, _, _ = _reduced(matrix)
+    size = min(len(matrix), len(matrix[0])) if matrix else 0
+    return _invariant_factors(pivots) + [0] * (size - len(pivots))
+
+
+def solve_integer(matrix, rhs):
+    """An integer solution of A x = b, or None."""
+    return _solve(_reduced(matrix), len(matrix[0]) if matrix else 0, rhs)
+
+
 def integer_rank(matrix) -> int:
-    return len(_diagonalize(matrix)[0])
+    return len(_reduced(matrix)[0])

@@ -216,16 +216,6 @@ def test_constructors_and_inputs_rejected(build, error, match):
         build()
 
 
-def test_bounded_above():
-    assert CoalitionalNTUGame(2, _ntu_sets(orthant_set((0, 0)))).bounded_above()
-    # x_1 <= 1 leaves x_2 unbounded above on the nonnegative orthant
-    open_grand = ComprehensiveSet((coalition_cylinder(2, (0,), 1),))
-    assert not CoalitionalNTUGame(2, _ntu_sets(open_grand)).bounded_above()
-    # x_1 <= -1 misses the nonnegative orthant, so it bounds nothing there
-    empty_grand = ComprehensiveSet((coalition_cylinder(2, (0,), -1),))
-    assert CoalitionalNTUGame(2, _ntu_sets(empty_grand)).bounded_above()
-
-
 def test_cylinder():
     c = coalition_cylinder(3, (0, 2), 5)
     s = ComprehensiveSet((c,))
@@ -543,27 +533,6 @@ def halfspaces(draw, dim):
 @st.composite
 def primitives(draw, dim):
     return Primitive(tuple(draw(st.lists(halfspaces(dim), min_size=1, max_size=3))))
-
-
-@st.composite
-def ntu_games(draw):
-    """Games on one or two players whose sets have one to three primitives,
-    some empty on the nonnegative orthant (a negative offset) and some
-    with a coordinate that no normal mentions."""
-    n = draw(st.integers(1, 2))
-    sets = {
-        coal: ComprehensiveSet(
-            tuple(draw(st.lists(primitives(len(coal)), min_size=1, max_size=3)))
-        )
-        for coal in coalitions(n)
-    }
-    return CoalitionalNTUGame(n, sets)
-
-
-@given(ntu_games())
-@settings(max_examples=150, deadline=None)
-def test_bounded_above_matches_the_lp_reference(game):
-    assert game.bounded_above() == ref.bounded_above(game)
 
 
 def _rescaled(prim, k):

@@ -104,6 +104,25 @@ def test_one_homology_and_invariant_pair_builds_the_face_table_once(monkeypatch)
         faces[0] = frozenset()
 
 
+def test_one_homology_and_invariant_pair_reduces_the_coboundary_once(monkeypatch):
+    from fraccore.topology import complexes
+
+    oc = propagate_orientation(SimplicialComplex(12, FACETS))
+    calls = []
+    diagonalize = complexes._diagonalize
+
+    def counting(rows):
+        calls.append(len(rows))
+        return diagonalize(rows)
+
+    monkeypatch.setattr(complexes, "_diagonalize", counting)
+    assert first_homology(oc.complex) == (0, [])
+    assert hopf_invariant(oc, COLORING) == 1
+    assert hopf_invariant(oc.reversed(), COLORING) == -1
+    # one reduction of one row per triangle, shared with the reversed complex
+    assert calls == [len(oc.complex.all_faces()[2])]
+
+
 def test_orientation_reversal_negates_invariant():
     oc, coloring = load()
     assert hopf_invariant(oc.reversed(), coloring) == -1
@@ -162,6 +181,11 @@ def _asset_with_one_sign_flipped():
     return OrientedComplex(oc.complex, (-oc.orientation[0], *oc.orientation[1:])), coloring
 
 
+def _mapped(name, vertex_map, match):
+    """A rejection case: the asset under ``vertex_map``."""
+    return pytest.param(lambda: (load()[0], vertex_map), NotSimplicial, match, id=f"{name}-map")
+
+
 @pytest.mark.parametrize(
     "build, error, match",
     [
@@ -169,6 +193,12 @@ def _asset_with_one_sign_flipped():
         (_suspended_torus, NotSphere, "vertex links"),
         (_asset_with_one_sign_flipped, NotSphere, "orientation is not coherent"),
         (lambda: (load()[0], (*COLORING[:-1], 4)), NotSimplicial, "four target vertices"),
+        # entries that are not ints in 0..3, and maps of the wrong length
+        _mapped("float", [c + 0.9 for c in COLORING], "four target vertices"),
+        _mapped("str", [str(c) for c in COLORING], "four target vertices"),
+        _mapped("bool", (*COLORING[:-1], True), "four target vertices"),
+        _mapped("short", COLORING[:-1], "11 entries, not 12"),
+        _mapped("long", (*COLORING, 0), "13 entries, not 12"),
     ],
 )
 def test_hopf_invariant_rejections(build, error, match):
