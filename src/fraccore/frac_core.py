@@ -7,10 +7,14 @@ For this representation class a point escapes an interior iff the set's
 uplift there is <= 0, so the fractional core is a finite union of
 polyhedra: membership in one primitive per active firm and one reversed
 half-space per primitive anywhere.  The solver branches only on the
-condition its current point violates (Balas's disjunctive programming):
-each search node maximizes the total payoff over its rows with one LP,
-prunes when they are infeasible, and otherwise reads the signs of the
-firms' primitive slacks (``game_model``) at the LP's point, scaled once.
+condition its current point violates (Balas's disjunctive programming).
+A search node whose rows hold an opposed pair, <a, x> <= b and
+<-t*a, x> <= b' with t > 0 and t*b + b' < 0, is pruned without an LP: t
+times the first row plus the second reads 0 <= t*b + b' < 0, a two-row
+Farkas certificate.  Any other node maximizes the total payoff over its
+rows with one LP, prunes when they are infeasible, and otherwise reads
+the signs of the firms' primitive slacks (``game_model``) at the LP's
+point, scaled once.
 The first blocking primitive (slack above 0) or member missing the point
 (every slack below 0) gives the children; a point with neither is a
 witness.  A core is searched the same way, with the distinguished firm as
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
+from math import gcd
 from operator import neg
 
 from .balance import DEFAULT_FIRM_CAP as DEFAULT_SUBSET_CAP
@@ -257,16 +262,49 @@ def _violation(utilities, membership, escapes, members):
     return violation
 
 
+def _opposed(rows):
+    """True when two rows <a, x> <= b and <-t*a, x> <= b' with t > 0 have
+    t*b + b' < 0: t times the first plus the second reads
+    0 <= t*b + b' < 0, so no point satisfies both, and the pair is the
+    rows' Farkas certificate.
+
+    A row is an integer row, a tuple of ints with an int bound, or a row of
+    rationals, whose denominators are cleared first; its normal is
+    nonzero.  Rows are compared by direction, the normal divided by its
+    gcd g, and each direction keeps its tightest bound b/g, as the pair
+    (b, g); each row is checked against the tightest bound of the negated
+    direction so far."""
+    tightest = {}
+    for a, b in rows:
+        if type(b) is not int:
+            (*a, b), _ = _clear_denominators((*a, b))
+            a = tuple(a)
+        g = gcd(*a)
+        if g != 1:
+            a = tuple([c // g for c in a])
+        opposite = tightest.get(tuple(map(neg, a)))
+        if opposite is not None and b * opposite[1] + opposite[0] * g < 0:
+            return True
+        kept = tightest.get(a)
+        if kept is None or b * kept[1] < kept[0] * g:
+            tightest[a] = (b, g)
+    return False
+
+
 def _search(n, rows, violation, budget):
-    """Depth-first branching on violated conditions: one LP per node, which
-    maximizes the total payoff over its rows; infeasible rows prune, a point
-    that passes ``violation`` is returned, and otherwise there is one child
-    per option of the violated condition.  Every admissible point of the
-    node satisfies that condition, so it lies in a child and the search is
+    """Depth-first branching on violated conditions, with at most one LP
+    per node.  A node whose rows hold an opposed pair (``_opposed``) is
+    infeasible and pruned without one; any other node's LP maximizes the
+    total payoff over its rows, and infeasible rows prune.  A point that
+    passes ``violation`` is returned, and otherwise there is one child per
+    option of the violated condition.  Every admissible point of the node
+    satisfies that condition, so it lies in a child and the search is
     complete.  A condition branched on holds everywhere below, so none
     repeats on a path: a path branches at most #primitives + #members times.
     """
     budget.spend()
+    if _opposed(rows):
+        return None
     res = maximize((ONE,) * n, LinearSystem(n, leq=tuple(rows)))
     if isinstance(res, Infeasible):
         return None

@@ -123,17 +123,20 @@ def _classes(groups):
 
 @dataclass(frozen=True)
 class OrientedComplex:
-    """Complex plus a sign per facet (need not be globally coherent when the
-    complex has boundary; coherence holds at interior ridges)."""
+    """Complex plus a sign per facet, the int 1 or -1 (need not be globally
+    coherent when the complex has boundary; coherence holds at interior
+    ridges)."""
 
     complex: SimplicialComplex
     orientation: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "orientation", tuple(int(s) for s in self.orientation))
-        if len(self.orientation) != len(self.complex.facets):
+        signs = tuple(self.orientation)
+        object.__setattr__(self, "orientation", signs)
+        if len(signs) != len(self.complex.facets):
             raise ValueError("one sign per facet")
-        if any(s not in (-1, 1) for s in self.orientation):
+        # each sign is the int 1 or -1: not a bool, a float or a string
+        if not ({int}.issuperset(map(type, signs)) and {-1, 1}.issuperset(signs)):
             raise ValueError("orientation signs must be +1 or -1")
 
     @property

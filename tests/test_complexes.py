@@ -156,6 +156,12 @@ def test_simplicial_complex_rejections(num_vertices, facets, match):
         ((1, -1, 1), "one sign per facet"),
         ((1, -1, 1, 0), "must be \\+1 or -1"),
         ((1, -1, 1, 2), "must be \\+1 or -1"),
+        # a sign is the int 1 or -1 itself, never truncated to one
+        ((1, -1, 1, 1.9), "must be \\+1 or -1"),
+        ((1, -1, 1, "1"), "must be \\+1 or -1"),
+        ((1, -1, 1, -1.5), "must be \\+1 or -1"),
+        ((1, -1, 1, True), "must be \\+1 or -1"),
+        ((1, -1, 1, 1.0), "must be \\+1 or -1"),
     ],
 )
 def test_oriented_complex_rejections(signs, match):

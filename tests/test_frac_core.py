@@ -2,7 +2,7 @@ import random
 from weakref import WeakValueDictionary
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraccore import tu_solver
@@ -603,18 +603,20 @@ def test_witness_reads_the_weights_of_the_deciding_elimination(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one LP per search node, against the two-LP reference search
+# at most one LP per search node, against the two-LP reference search
 # ---------------------------------------------------------------------------
 
 
 def _count_search_lps(monkeypatch, solve):
-    """(LPs run, nodes spent) by one call of ``solve``, balance cache warm."""
+    """(LPs run, nodes pruned by an opposed row pair, nodes spent) by one
+    call of ``solve``, balance cache warm."""
     from fraccore import exact_linear, frac_core
 
     solve()  # warm the balancedness cache so that only search LPs remain
-    counts = {"lp": 0, "nodes": 0}
+    counts = {"lp": 0, "pruned": 0, "nodes": 0}
     solve_standard = exact_linear._solve_standard
     spend = frac_core._Budget.spend
+    opposed = frac_core._opposed
 
     def counting_solve(*args):
         counts["lp"] += 1
@@ -624,24 +626,33 @@ def _count_search_lps(monkeypatch, solve):
         counts["nodes"] += 1
         return spend(self)
 
+    def counting_opposed(rows):
+        found = opposed(rows)
+        counts["pruned"] += found
+        return found
+
     with monkeypatch.context() as m:
         m.setattr(exact_linear, "_solve_standard", counting_solve)
         m.setattr(frac_core._Budget, "spend", counting_spend)
+        m.setattr(frac_core, "_opposed", counting_opposed)
         solve()
-    return counts["lp"], counts["nodes"]
+    return counts["lp"], counts["pruned"], counts["nodes"]
 
 
 def test_search_runs_one_lp_per_node(monkeypatch):
-    deep = 0
+    # every node runs one LP unless an opposed row pair prunes it first
+    deep = pruned = 0
     for game in _differential_games():
         for solve in (
             lambda: fractional_core_solve(game),
             lambda: core_solve(game),
         ):
-            lps, nodes = _count_search_lps(monkeypatch, solve)
-            assert lps == nodes
+            lps, cut, nodes = _count_search_lps(monkeypatch, solve)
+            assert lps + cut == nodes
             deep = max(deep, nodes)
+            pruned += cut
     assert deep > 1
+    assert pruned
 
 
 def _core_point_ok(game, x):
@@ -711,8 +722,27 @@ def _with_distinguished(game, dist):
     return GeneralizedGame(game.utilities, game.firm_system, distinguished=dist)
 
 
+def _nested_cylinders_game():
+    """Two firms, each balanced alone: firm 0's set x0 + x1 <= 0 lies in
+    the interior of firm 1's set x0 + x1 <= 1/2.  Firm 0's row and firm
+    1's escape row x0 + x1 >= 1/2 are an opposed pair, so the core search
+    and the search over {0} are pruned at their roots; the search over {1}
+    finds x0 + x1 = 1/2 with one LP, over rational rows."""
+    utilities = (
+        ComprehensiveSet((Primitive((HalfSpace((1, 1), 0),)),)),
+        ComprehensiveSet((Primitive((HalfSpace((1, 1), Q(1, 2)),)),)),
+    )
+    fs = FirmSystem(firms=[(1, 1), (1, 1)], resource=(1, 1))
+    return GeneralizedGame(utilities, fs, distinguished=0)
+
+
+# nodes pruned by an opposed row pair in the fractional-core and the core
+# search; the prune leaves each search's node count as it was
+_PRUNED = {"directed transfers": (2, 0), "nested cylinders": (1, 1)}
+
+
 @pytest.mark.parametrize(
-    "name, game, frac_lps, core_lps",
+    "name, game, frac_nodes, core_nodes",
     [
         # the k never-blocking firms come before the blocker; a search that
         # branched on primitives in firm order would spend k + 3 and k + 2
@@ -721,12 +751,102 @@ def _with_distinguished(game, dist):
         ("loss sharing", embed_coalitional(loss_sharing_tu()), 1, 1),
         ("loss sharing, modified", embed_coalitional(loss_sharing_tu_modified()), 6, 1),
         ("directed transfers", _with_distinguished(directed_transfers_game(), 0), 6, 1),
+        ("nested cylinders", _nested_cylinders_game(), 2, 1),
     ],
 )
-def test_search_lp_counts(monkeypatch, name, game, frac_lps, core_lps):
+def test_search_lp_counts(monkeypatch, name, game, frac_nodes, core_nodes):
+    # (LPs, pruned, nodes): every node the prune spares runs one LP
+    frac_pruned, core_pruned = _PRUNED.get(name, (0, 0))
     frac = _count_search_lps(monkeypatch, lambda: fractional_core_solve(game))
     core = _count_search_lps(monkeypatch, lambda: core_solve(game))
-    assert (frac, core) == ((frac_lps, frac_lps), (core_lps, core_lps))
+    assert frac == (frac_nodes - frac_pruned, frac_pruned, frac_nodes)
+    assert core == (core_nodes - core_pruned, core_pruned, core_nodes)
+
+
+def test_nested_cylinders_verdicts():
+    game = _nested_cylinders_game()
+    frac = fractional_core_solve(game)
+    assert frac.witness.active == (1,)
+    assert sum(frac.witness.point) == Q(1, 2)
+    assert core_solve(game) == Empty()
+
+
+# ---------------------------------------------------------------------------
+# the opposed-pair prune: a certificate of infeasibility, and nothing more
+# ---------------------------------------------------------------------------
+
+
+def _pair_opposed(row, other):
+    """Whether <a', x> <= b' is <-t*a, x> <= b' with t > 0 and t*b + b' < 0
+    for row (a, b), in plain rational arithmetic."""
+    (a, b), (a2, b2) = (
+        (tuple(map(Q, normal)), Q(bound)) for normal, bound in (row, other)
+    )
+    k = next(i for i, c in enumerate(a) if c)
+    t = -a2[k] / a[k]
+    return t > 0 and a2 == tuple(-t * c for c in a) and t * b + b2 < 0
+
+
+@st.composite
+def _search_rows(draw):
+    """Rows over 1 to 3 variables along a few base directions, each scaled
+    by t = 1, 2, 3, 1/2 or 2/3 and signed, so that opposed pairs and
+    same-direction duplicates are common; a row is an integer row or a
+    row of rationals, the two forms the search builds."""
+    n = draw(st.integers(1, 3))
+    normal = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    bases = draw(st.lists(normal, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        u = draw(st.sampled_from(bases))
+        sign = draw(st.sampled_from((1, -1)))
+        if draw(st.booleans()):
+            t = draw(st.integers(1, 3))
+            rows.append((tuple(sign * t * c for c in u), draw(st.integers(-4, 4))))
+        else:
+            t = draw(st.sampled_from((Q(1), Q(2), Q(1, 2), Q(2, 3))))
+            b = Q(draw(st.integers(-8, 8)), draw(st.integers(1, 3)))
+            rows.append((tuple(sign * t * c for c in u), b))
+    return n, rows
+
+
+@given(_search_rows())
+@example((2, [((1, 2), 3), ((-2, -4), -7)]))  # t = 2: 6 - 7 < 0
+@example((2, [((1, 2), 3), ((-2, -4), -6)]))  # 6 - 6 = 0: the line x + 2y = 3
+@example((1, [((Q(1, 2),), Q(1)), ((-1,), -3)]))  # x <= 2 and x >= 3
+@example((2, [((2, 2), 5), ((1, 1), 1), ((-1, -1), -2)]))  # the tighter duplicate
+@settings(max_examples=300, deadline=None)
+def test_opposed_rows_are_an_infeasibility_certificate(case):
+    from fraccore.exact_linear import Infeasible, LinearSystem, maximize
+    from fraccore.frac_core import _opposed
+
+    n, rows = case
+    pairs = any(
+        _pair_opposed(row, other) for i, row in enumerate(rows) for other in rows[i + 1 :]
+    )
+    assert _opposed(rows) == pairs
+    if pairs:
+        assert maximize((1,) * n, LinearSystem(n, leq=tuple(rows))) == Infeasible()
+
+
+def test_prune_changes_no_verdict_or_witness(monkeypatch):
+    # _reference_games() begins with the games of _differential_games()
+    from fraccore import frac_core
+
+    opposed, pruned = frac_core._opposed, []
+
+    def counting_opposed(rows):
+        found = opposed(rows)
+        pruned.append(found)
+        return found
+
+    games = _reference_games()
+    with monkeypatch.context() as m:
+        m.setattr(frac_core, "_opposed", counting_opposed)
+        with_prune = [(fractional_core_solve(g), core_solve(g)) for g in games]
+    assert any(pruned)
+    monkeypatch.setattr(frac_core, "_opposed", lambda rows: False)
+    assert [(fractional_core_solve(g), core_solve(g)) for g in games] == with_prune
 
 
 def test_search_depth_within_primitives_plus_members(monkeypatch):
